@@ -66,9 +66,9 @@ class AlignmentSearcher:
         self.radius_bound = float(radius_bound)
         reach = self.config.r_max * self.radius_bound + REACH_MARGIN
         self.grid = RadialGrid((cx, cy), (width, height), k, reach)
-        background = ~clump.reshape(-1)[self.grid.flat_index]
+        self._background = ~clump.reshape(-1)[self.grid.flat_index]
         # grid pixels are distance-sorted, so these are too
-        self._bg_positions = np.nonzero(background)[0]
+        self._bg_positions = np.nonzero(self._background)[0]
         self._bg_dist = self.grid.dist[self._bg_positions]
         self._r_values = self.config.r_values()
         self._theta_values = self.config.theta_values()
@@ -91,7 +91,7 @@ class AlignmentSearcher:
             if self._bg_dist[start] > bound * max_s + REACH_MARGIN:
                 break
             stop = min(total, start + chunk)
-            q = self.grid.q_select(radii, theta, positions[start:stop])
+            q = self.grid.q_values(radii, theta, positions[start:stop])
             minimum = min(minimum, float(q.min()))
             start = stop
             chunk *= 4
@@ -122,17 +122,14 @@ class AlignmentSearcher:
             feasible = rs < min_bg
             if feasible.any():
                 r = float(rs[np.nonzero(feasible)[0][-1]])
-                stop = self.grid.prefix_count(r * max_s + REACH_MARGIN)
-                q = self.grid.q_values(radii, theta, stop=stop)
-                area = int(np.count_nonzero(q <= r))
+                _, inside = self.grid.inside(radii, r, theta)
+                area = int(np.count_nonzero(inside))
                 if best is None or area > best[0] or (area == best[0] and r > best[1]):
                     best = (area, r, float(theta))
             elif best is None:
-                r0 = float(rs[0])
-                near = int(np.searchsorted(self._bg_dist,
-                                           r0 * max_s + REACH_MARGIN, "right"))
-                q = self.grid.q_select(radii, theta, self._bg_positions[:near])
-                outside = int(np.count_nonzero(q <= r0))
+                stop, inside = self.grid.inside(radii, float(rs[0]), theta)
+                outside = int(np.count_nonzero(inside
+                                               & self._background[:stop]))
                 if fallback is None or outside < fallback[0]:
                     fallback = (outside, float(theta))
         if best is not None:

@@ -55,8 +55,7 @@ def _dump_json(path, doc):
 
 
 def _config_from_args(args):
-    overrides = dict(args.overrides or {})
-    return RunConfig.load(path=args.config, overrides=overrides)
+    return RunConfig.load(path=args.config, overrides=args.overrides)
 
 
 def _scene_sort_key(scene):
@@ -168,7 +167,7 @@ def _overlay_image(scene, masks):
     return rgb
 
 
-def _segment_scene(scene, model, evolution_config, out_dir, k):
+def _segment_scene(scene, model, evolution_config, out_dir):
     masks, state = evolve(scene, model, evolution_config)
     for i, mask in enumerate(masks):
         write_pgm(os.path.join(out_dir, f"{scene.scene_id}_obj{i}.pgm"), mask)
@@ -212,12 +211,12 @@ def cmd_segment(args):
 
     jobs = max(1, args.jobs)
     if jobs == 1:
-        summaries = [_segment_scene(s, model, cfg.evolution, args.out, cfg.k)
+        summaries = [_segment_scene(s, model, cfg.evolution, args.out)
                      for s in scenes]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_segment_scene, s, model, cfg.evolution,
-                                   args.out, cfg.k) for s in scenes]
+                                   args.out) for s in scenes]
             summaries = [f.result() for f in futures]
     summaries.sort(key=lambda s: s["scene_id"])
     all_dsc = [v for s in summaries for v in s.get("dsc", [])]

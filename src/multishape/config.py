@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .align import GridSearchConfig
 from .errors import ConfigError
@@ -20,40 +20,14 @@ from .synthgen import GeneratorConfig
 
 SEED_ENV_VAR = "MULTISHAPE_SEED"
 
-# schema: dotted key -> (type tag, default); tuples hold element type + arity
-_SCHEMA = {
-    "k": (int, 360),
-    "variance_threshold": (float, 0.995),
-    "energy_threshold_fraction": (float, 0.05),
-    "generator.seed": (int, 0),
-    "generator.n_objects": (("int_pair",), (2, 6)),
-    "generator.base_radius": (("float_pair",), (20.0, 40.0)),
-    "generator.eccentricity": (("float_pair",), (1.0, 2.0)),
-    "generator.boundary_noise_amplitude": (float, 0.08),
-    "generator.centroid_spacing": (("float_pair",), (0.8, 1.6)),
-    "generator.canvas": (("int_pair",), (256, 256)),
-    "evolution.max_outer_iterations": (int, 200),
-    "evolution.fd_step": (float, 0.1),
-    "evolution.initial_trust_radius": (float, 1.0),
-    "evolution.min_trust_radius": (float, 1e-3),
-    "evolution.max_trust_radius": (float, 10.0),
-    "evolution.shrink_ratio_threshold": (float, 0.25),
-    "evolution.grow_ratio_threshold": (float, 0.75),
-    "evolution.alignment_refresh_period": (int, 1),
-    "evolution.exact_fd_hessian": (bool, False),
-    "evolution.rng_seed": (int, 0),
-    "grid.r_min": (float, 0.3),
-    "grid.r_max": (float, 2.0),
-    "grid.r_step": (float, 0.05),
-    "grid.theta_count": (int, 72),
-    "learning.step": (float, 0.1),
-    "learning.max_tries_per_example": (int, 20),
-    "learning.max_cycles": (int, 50),
-    "learning.max_outer_iterations": (int, 50),
-}
+# top-level keys shared by several sections; each takes its default from
+# the section dataclass that consumes it
+_SHARED = ("k", "variance_threshold", "energy_threshold_fraction")
 
 
-def _coerce(key, kind, value):
+def _coerce(key, default, value):
+    """Parse ``value`` to the type of the key's default."""
+    kind = type(default)
     try:
         if kind is bool:
             if isinstance(value, bool):
@@ -70,15 +44,14 @@ def _coerce(key, kind, value):
             return int(value)
         if kind is float:
             return float(value)
-        # pair kinds
-        tag = kind[0]
+        # pairs take the element type of the default's first element
         if isinstance(value, str):
             parts = [p.strip() for p in value.split(",")]
         else:
             parts = list(value)
         if len(parts) != 2:
             raise ValueError(value)
-        elem = int if tag == "int_pair" else float
+        elem = type(default[0])
         return (elem(parts[0]), elem(parts[1]))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for key {key!r}: {value!r}") from exc
@@ -97,9 +70,9 @@ def _flatten(doc, prefix=""):
 class RunConfig:
     """Validated settings for the whole pipeline."""
 
-    k: int = 360
-    variance_threshold: float = 0.995
-    energy_threshold_fraction: float = 0.05
+    k: int = GeneratorConfig.k
+    variance_threshold: float = LearningConfig.variance_threshold
+    energy_threshold_fraction: float = EvolutionConfig.energy_threshold_fraction
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
     evolution: EvolutionConfig = field(default_factory=EvolutionConfig)
     learning: LearningConfig = field(default_factory=LearningConfig)
@@ -107,14 +80,15 @@ class RunConfig:
     @classmethod
     def from_values(cls, values):
         """Build from a dotted-key mapping; unknown keys are rejected."""
-        merged = {key: default for key, (_, default) in _SCHEMA.items()}
+        merged = dict(_SCHEMA)
         for key, value in values.items():
             if key not in _SCHEMA:
                 raise ConfigError(f"unknown configuration key {key!r}")
-            merged[key] = _coerce(key, _SCHEMA[key][0], value)
+            merged[key] = _coerce(key, _SCHEMA[key], value)
         if SEED_ENV_VAR in os.environ:
             merged["generator.seed"] = _coerce(
-                "generator.seed", int, os.environ[SEED_ENV_VAR])
+                "generator.seed", _SCHEMA["generator.seed"],
+                os.environ[SEED_ENV_VAR])
 
         def section(name):
             skip = len(name) + 1
@@ -122,42 +96,27 @@ class RunConfig:
                     if key.startswith(f"{name}.")}
 
         try:
-            grid = GridSearchConfig(**section("grid"))
             generator = GeneratorConfig(k=merged["k"], **section("generator"))
             evolution = EvolutionConfig(
                 energy_threshold_fraction=merged["energy_threshold_fraction"],
-                grid=grid,
+                grid=GridSearchConfig(**section("grid")),
                 **section("evolution"))
             learn_section = section("learning")
             inner_iters = learn_section.pop("max_outer_iterations")
             learning = LearningConfig(
                 variance_threshold=merged["variance_threshold"],
-                evolution=EvolutionConfig(
-                    energy_threshold_fraction=merged["energy_threshold_fraction"],
-                    grid=grid,
-                    max_outer_iterations=inner_iters,
-                    **{key: value for key, value in section("evolution").items()
-                       if key != "max_outer_iterations"}),
+                evolution=replace(evolution, max_outer_iterations=inner_iters),
                 **learn_section)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        return cls(
-            k=merged["k"],
-            variance_threshold=merged["variance_threshold"],
-            energy_threshold_fraction=merged["energy_threshold_fraction"],
-            generator=generator,
-            evolution=evolution,
-            learning=learning,
-        )
+        return cls(generator=generator, evolution=evolution,
+                   learning=learning, **{key: merged[key] for key in _SHARED})
 
     @classmethod
     def load(cls, path=None, overrides=None):
         """Load from an optional file plus dotted-key overrides."""
-        values = {}
-        if path is not None:
-            values.update(read_config_file(path))
-        for key, value in (overrides or {}).items():
-            values[key] = value
+        values = {} if path is None else read_config_file(path)
+        values.update(overrides or {})
         return cls.from_values(values)
 
 
@@ -187,6 +146,29 @@ def read_config_file(path):
         key, _, value = line.partition("=")
         values[key.strip()] = value.strip()
     return values
+
+
+def _defaults(prefix, config):
+    """Dotted key -> default for the plain fields of a config dataclass.
+
+    Sections leave out the shared top-level keys, which set them instead.
+    """
+    return {f"{prefix}{f.name}": getattr(config, f.name)
+            for f in fields(config)
+            if not is_dataclass(getattr(config, f.name))
+            and not (prefix and f.name in _SHARED)}
+
+
+# every key's default and coercion type come from the config dataclasses
+_SCHEMA = {
+    **_defaults("", RunConfig()),
+    **_defaults("generator.", GeneratorConfig()),
+    **_defaults("evolution.", EvolutionConfig()),
+    **_defaults("grid.", GridSearchConfig()),
+    **_defaults("learning.", LearningConfig()),
+    "learning.max_outer_iterations":
+        LearningConfig().evolution.max_outer_iterations,
+}
 
 
 def schema_keys():

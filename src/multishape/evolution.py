@@ -28,8 +28,7 @@ import numpy as np
 
 from .align import AlignmentSearcher, GridSearchConfig
 from .errors import DimensionMismatch, ZeroGradient
-from .geometry import RadialGrid, REACH_MARGIN
-from .raster import Alignment
+from .raster import Alignment, rasterize, union
 from .shape_model import RADIUS_FLOOR, COEFF_SIGMA_BOX, synthesize
 
 BOUNDARY_TOL = 1e-9
@@ -49,7 +48,6 @@ class EvolutionConfig:
     grow_ratio_threshold: float = 0.75
     alignment_refresh_period: int = 1
     exact_fd_hessian: bool = False
-    rng_seed: int = 0   # reserved for stochastic tie fallbacks; unused by default
     grid: GridSearchConfig = field(default_factory=GridSearchConfig)
 
     def __post_init__(self):
@@ -98,15 +96,6 @@ def mask_energy(mask_union, clump):
     return int(np.count_nonzero(mask_union ^ clump))
 
 
-def _object_inside_flat(radii, centroid, alignment, dims, out):
-    reach = alignment.r * float(radii.max()) + REACH_MARGIN
-    grid = RadialGrid(centroid, dims, radii.size, reach)
-    if grid.size:
-        q = grid.q_values(radii, alignment.theta)
-        grid.scatter(q <= alignment.r, out)
-    return out
-
-
 def energy(scene, model, x, alignments):
     """Discrepancy energy for the joint raw coefficient vector."""
     n = scene.n_objects
@@ -116,12 +105,10 @@ def energy(scene, model, x, alignments):
             f"joint coefficients {x.shape} != ({n * model.t},)")
     if len(alignments) != n:
         raise DimensionMismatch(f"{len(alignments)} alignments for {n} objects")
-    bu = np.zeros(scene.clump.size, dtype=bool)
-    for i in range(n):
-        radii = synthesize(model, x[i * model.t:(i + 1) * model.t])
-        _object_inside_flat(radii, scene.centroids[i], alignments[i],
-                            scene.dims, bu)
-    return int(np.count_nonzero(bu ^ scene.clump.reshape(-1)))
+    masks = [rasterize(synthesize(model, x[i * model.t:(i + 1) * model.t]),
+                       scene.centroids[i], alignments[i], scene.dims)
+             for i in range(n)]
+    return mask_energy(union(masks), scene.clump)
 
 
 def gradient_fd(scene, model, x, alignments, h=0.1):
@@ -295,18 +282,10 @@ class _SceneEngine:
         self._probe_energies = np.zeros((self.n, 2 * self.t), dtype=np.int64)
 
     def object_mask(self, i, radii, alignment):
-        grid = self.searchers[i].grid
-        flat = np.zeros(self.bc.size, dtype=bool)
-        stop = grid.prefix_count(alignment.r * float(radii.max()) + REACH_MARGIN)
-        q = grid.q_values(radii, alignment.theta, stop=stop)
-        flat[grid.flat_index[:stop][q <= alignment.r]] = True
-        return flat
+        return self.searchers[i].grid.mask(radii, alignment.r, alignment.theta)
 
     def total_energy(self, masks):
-        bu = masks[0].copy()
-        for m in masks[1:]:
-            bu |= m
-        return int(np.count_nonzero(bu ^ self.bc))
+        return mask_energy(union(masks), self.bc)
 
     def raw_from_normalized(self, c):
         return c * self.sqrt_ev[None, :]
@@ -320,10 +299,7 @@ class _SceneEngine:
         """
         energies = np.zeros((self.n, 2 * self.t), dtype=np.int64)
         for i in range(self.n):
-            others = np.zeros(self.bc.size, dtype=bool)
-            for j in range(self.n):
-                if j != i:
-                    others |= masks[j]
+            others = union([np.zeros_like(self.bc)] + masks[:i] + masks[i + 1:])
             probes = np.repeat(x[i][None, :], 2 * self.t, axis=0)
             idx = np.arange(self.t)
             probes[2 * idx, idx] += h * self.sqrt_ev
@@ -331,15 +307,13 @@ class _SceneEngine:
             radii = np.stack([synthesize(self.model, row) for row in probes])
             # pixels beyond every probe's reach contribute a constant
             grid = self.searchers[i].grid
-            stop = grid.prefix_count(
-                alignments[i].r * float(radii.max()) + REACH_MARGIN)
+            stop, inside = grid.inside(radii, alignments[i].r,
+                                       alignments[i].theta)
             near = grid.flat_index[:stop]
             o_d = others[near]
             bc_d = self.bc[near]
             outside_mismatch = (int(np.count_nonzero(others ^ self.bc))
                                 - int(np.count_nonzero(o_d ^ bc_d)))
-            q = grid.q_values(radii, alignments[i].theta, stop=stop)
-            inside = q <= alignments[i].r
             mismatch = (o_d[None, :] | inside) ^ bc_d[None, :]
             energies[i] = outside_mismatch + np.count_nonzero(mismatch, axis=1)
         return energies

@@ -18,6 +18,10 @@ precisely when q <= r, which makes containment exactly monotone in r.
 Since q >= d / max(radii), pixels beyond r * max(radii) plus a small
 rounding margin can never be inside; grid pixels are kept sorted by
 distance so such pixels can be skipped by slicing.
+
+That reach cut followed by the test q <= r is the package's single
+containment rule, :meth:`RadialGrid.inside`.  Rasterization, the evolution
+energy and its probes, and the alignment search's area count all use it.
 """
 
 from __future__ import annotations
@@ -55,35 +59,28 @@ class RadialGrid:
         x1 = min(int(np.ceil(cx + reach)) + 1, width)
         y0 = max(int(np.floor(cy - reach)) - 1, 0)
         y1 = min(int(np.ceil(cy + reach)) + 1, height)
-        if x0 >= x1 or y0 >= y1:
-            # center lies far outside the canvas; keep empty tables
-            self.flat_index = np.empty(0, dtype=np.int64)
-            self.dist = np.empty(0)
-            self._phi = np.empty(0)
-            self._sin_phi = np.empty(0)
-            self._cos_phi = np.empty(0)
-        else:
-            xs = np.arange(x0, x1, dtype=np.float64) + 0.5
-            ys = np.arange(y0, y1, dtype=np.float64) + 0.5
-            # materialized grids keep every ufunc on contiguous arrays,
-            # which evaluates elementwise-identically across grid extents
-            dx = np.ascontiguousarray(np.broadcast_to(xs[None, :] - cx,
-                                                      (ys.size, xs.size)))
-            dy = np.ascontiguousarray(np.broadcast_to(ys[:, None] - cy,
-                                                      (ys.size, xs.size)))
-            d = np.hypot(dx, dy)
-            keep = d <= reach
-            yy, xx = np.nonzero(keep)
-            flat_index = (yy + y0) * width + (xx + x0)
-            dist = d[keep]
-            phi = np.arctan2(dy[keep], dx[keep])
-            phi = np.where(phi < 0.0, phi + TWO_PI, phi)
-            order = np.lexsort((flat_index, dist))
-            self.flat_index = flat_index[order]
-            self.dist = dist[order]
-            self._phi = phi[order]
-            self._sin_phi = np.sin(self._phi)
-            self._cos_phi = np.cos(self._phi)
+        # an empty range leaves empty tables (center far off the canvas)
+        xs = np.arange(x0, x1, dtype=np.float64) + 0.5
+        ys = np.arange(y0, y1, dtype=np.float64) + 0.5
+        # materialized grids keep every ufunc on contiguous arrays,
+        # which evaluates elementwise-identically across grid extents
+        dx = np.ascontiguousarray(np.broadcast_to(xs[None, :] - cx,
+                                                  (ys.size, xs.size)))
+        dy = np.ascontiguousarray(np.broadcast_to(ys[:, None] - cy,
+                                                  (ys.size, xs.size)))
+        d = np.hypot(dx, dy)
+        keep = d <= reach
+        yy, xx = np.nonzero(keep)
+        flat_index = (yy + y0) * width + (xx + x0)
+        dist = d[keep]
+        phi = np.arctan2(dy[keep], dx[keep])
+        phi = np.where(phi < 0.0, phi + TWO_PI, phi)
+        order = np.lexsort((flat_index, dist))
+        self.flat_index = flat_index[order]
+        self.dist = dist[order]
+        self._phi = phi[order]
+        self._sin_phi = np.sin(self._phi)
+        self._cos_phi = np.cos(self._phi)
 
         self.center = (cx, cy)
         self.dims = (width, height)
@@ -97,10 +94,6 @@ class RadialGrid:
     def size(self):
         return self.dist.size
 
-    def prefix_count(self, limit):
-        """Number of grid pixels with distance <= limit."""
-        return int(np.searchsorted(self.dist, limit, side="right"))
-
     def _sector_table(self, theta):
         theta = float(theta)
         table = self._theta_tables.get(theta)
@@ -113,7 +106,22 @@ class RadialGrid:
             self._theta_tables[theta] = table
         return table
 
-    def _q_kernel(self, radii, m, sin_a, cos_a, sin_phi, cos_phi, dist):
+    def q_values(self, radii, theta, index=slice(None)):
+        """Scale-free containment values for the grid pixels at ``index``.
+
+        ``index`` is a slice or an index array into the distance-sorted
+        pixels.  ``radii`` may be a (k,) vector or an (n, k) batch; the
+        result has shape (m,) or (n, m) for m selected pixels.  A pixel is
+        inside the shape scaled by r exactly when its value is <= r.
+        """
+        radii = np.asarray(radii, dtype=np.float64)
+        if radii.shape[-1] != self.k:
+            raise ValueError(
+                f"radii length {radii.shape[-1]} does not match grid k={self.k}")
+        m, sin_a, cos_a = self._sector_table(theta)
+        m = m[index]
+        sin_phi, cos_phi = self._sin_phi[index], self._cos_phi[index]
+        dist = self.dist[index]
         a = sin_phi * cos_a[m] - cos_phi * sin_a[m]
         b = cos_phi * sin_a[m + 1] - sin_phi * cos_a[m + 1]
         ext = np.concatenate([radii, radii[..., :1]], axis=-1)
@@ -121,36 +129,24 @@ class RadialGrid:
         sv = ext[..., m + 1]
         return dist * (su * a + sv * b) / (su * sv * self._sin_sector)
 
-    def q_values(self, radii, theta, stop=None):
-        """Scale-free containment values for the first ``stop`` pixels.
+    def inside(self, radii, r, theta):
+        """Which grid pixels the shape scaled by ``r`` contains.
 
-        ``radii`` may be a (k,) vector or an (n, k) batch; the result has
-        shape (stop,) or (n, stop).  A pixel is inside the shape scaled by
-        r exactly when its value is <= r.
+        Pixels beyond ``r * max(radii) + REACH_MARGIN`` are never inside, so
+        only the first ``stop`` pixels are tested.  Returns ``(stop, inside)``
+        with ``inside`` of shape (stop,) for a (k,) radii vector or
+        (n, stop) for an (n, k) batch, whose reach is set by its largest
+        entry.
         """
         radii = np.asarray(radii, dtype=np.float64)
-        if radii.shape[-1] != self.k:
-            raise ValueError(
-                f"radii length {radii.shape[-1]} does not match grid k={self.k}")
-        m, sin_a, cos_a = self._sector_table(theta)
-        sl = slice(None) if stop is None else slice(0, stop)
-        return self._q_kernel(radii, m[sl], sin_a, cos_a,
-                              self._sin_phi[sl], self._cos_phi[sl],
-                              self.dist[sl])
+        reach = r * float(radii.max()) + REACH_MARGIN
+        stop = int(np.searchsorted(self.dist, reach, side="right"))
+        return stop, self.q_values(radii, theta, slice(0, stop)) <= r
 
-    def q_select(self, radii, theta, idx):
-        """Containment values for an arbitrary pixel index selection."""
-        radii = np.asarray(radii, dtype=np.float64)
-        m, sin_a, cos_a = self._sector_table(theta)
-        return self._q_kernel(radii, m[idx], sin_a, cos_a,
-                              self._sin_phi[idx], self._cos_phi[idx],
-                              self.dist[idx])
-
-    def scatter(self, inside, out=None, stop=None):
-        """Write a boolean selection of grid pixels into a canvas mask."""
+    def mask(self, radii, r, theta):
+        """Flat canvas mask of the shape at scale ``r``, rotation ``theta``."""
         width, height = self.dims
-        if out is None:
-            out = np.zeros(height * width, dtype=bool)
-        index = self.flat_index if stop is None else self.flat_index[:stop]
-        out[index[inside]] = True
+        out = np.zeros(height * width, dtype=bool)
+        stop, inside = self.inside(radii, r, theta)
+        out[self.flat_index[:stop][inside]] = True
         return out

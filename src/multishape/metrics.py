@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyTruth
-from .shape_model import TWO_PI, sample_shape_vector
+from .geometry import TWO_PI
+from .shape_model import DEFAULT_K, sample_shape_vector
 
 DEGREE_BIN_EDGES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -97,7 +98,7 @@ def dsc(predicted, truth):
     return 2.0 * inter / total
 
 
-def overlapping_degree(object_truth, other_truths, centroid, k=360):
+def overlapping_degree(object_truth, other_truths, centroid, k=DEFAULT_K):
     """Fraction of an object's boundary samples occluded by its neighbours.
 
     Boundary samples come from the radial sampler; a sample is occluded when
@@ -130,7 +131,8 @@ def degree_bin(degree):
     return 0
 
 
-def object_report(object_id, predicted, truth, other_truths, centroid, k=360):
+def object_report(object_id, predicted, truth, other_truths, centroid,
+                  k=DEFAULT_K):
     degree = overlapping_degree(truth, other_truths, centroid, k)
     return ObjectReport(
         object_id=object_id,

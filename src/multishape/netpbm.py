@@ -64,6 +64,8 @@ def read_pgm(path):
         width, height, maxval = int(width), int(height), int(maxval)
     except (StopIteration, ValueError) as exc:
         raise DatasetIOError(f"{path}: malformed PGM header") from exc
+    if width <= 0 or height <= 0:
+        raise DatasetIOError(f"{path}: non-positive size {width}x{height}")
     if maxval <= 0 or maxval > 255:
         raise DatasetIOError(f"{path}: unsupported maxval {maxval}")
     count = width * height

@@ -41,11 +41,8 @@ def rasterize(radii, centroid, alignment, dims):
     width, height = int(dims[0]), int(dims[1])
     reach = alignment.r * float(radii.max()) + REACH_MARGIN
     grid = RadialGrid(centroid, (width, height), radii.size, reach)
-    out = np.zeros(height * width, dtype=bool)
-    if grid.size:
-        q = grid.q_values(radii, alignment.theta)
-        grid.scatter(q <= alignment.r, out)
-    return out.reshape(height, width)
+    mask = grid.mask(radii, alignment.r, alignment.theta)
+    return mask.reshape(height, width)
 
 
 def union(masks):

@@ -17,13 +17,13 @@ import numpy as np
 
 from .errors import (
     CentroidOutsideMask,
+    DatasetIOError,
     DegenerateMask,
     DimensionMismatch,
     EmptyExampleSet,
     RankDeficient,
 )
-
-TWO_PI = 2.0 * np.pi
+from .geometry import TWO_PI
 
 DEFAULT_K = 360
 DEFAULT_VARIANCE_THRESHOLD = 0.995
@@ -149,8 +149,8 @@ def weighted_mean(example_set):
 def covariance(example_set, mean):
     """Scatter of deviations from the given mean, divided by the example count.
 
-    The weights influence the statistics only through the mean; the scatter
-    itself is unweighted.
+    The weights influence the statistics only through the mean; the sum of
+    outer products itself is unweighted.
     """
     mat = example_set.matrix()
     dev = mat - np.asarray(mean, dtype=np.float64)[None, :]
@@ -222,18 +222,6 @@ def synthesize(model, coeffs, radius_floor=RADIUS_FLOOR):
     return np.maximum(shape, radius_floor)
 
 
-def synthesize_normalized(model, coeffs, radius_floor=RADIUS_FLOOR):
-    """Shape for coefficients measured in per-mode standard deviations.
-
-    ``coeffs`` may be a (t,) vector or an (n, t) batch; the box is +-3.
-    """
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    scaled = np.clip(coeffs, -COEFF_SIGMA_BOX, COEFF_SIGMA_BOX) \
-        * np.sqrt(model.eigenvalues)
-    shape = model.mean + scaled @ model.basis.T
-    return np.maximum(shape, radius_floor)
-
-
 def save_model(model, path):
     """Serialize a model to the single-document JSON schema."""
     doc = {
@@ -255,10 +243,18 @@ def save_model(model, path):
 def load_model(path):
     """Load a model serialized by :func:`save_model`."""
     with open(path, "r", encoding="ascii") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise DatasetIOError(f"{path}: invalid model JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DatasetIOError(f"{path}: model JSON must be an object")
     unknown = set(doc) - MODEL_JSON_KEYS
     if unknown:
         raise DimensionMismatch(f"unknown model fields: {sorted(unknown)}")
+    missing = MODEL_JSON_KEYS - set(doc)
+    if missing:
+        raise DatasetIOError(f"{path}: missing model fields: {sorted(missing)}")
     mean = np.asarray(doc["mean"], dtype=np.float64)
     basis = np.asarray(doc["basis"], dtype=np.float64).T
     eigenvalues = np.asarray(doc["eigenvalues"], dtype=np.float64)

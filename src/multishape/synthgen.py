@@ -15,10 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CanvasTooSmall, DatasetIOError, ManifestMismatch
+from .geometry import TWO_PI
 from .netpbm import read_pgm, write_pgm
 from .raster import Alignment, rasterize, union
 from .scene import ClumpScene
-from .shape_model import RADIUS_FLOOR, TWO_PI
+from .shape_model import DEFAULT_K, RADIUS_FLOOR
 
 SCENE_JSON_FORMAT = 1
 HARMONIC_ORDERS = (2, 3, 4, 5, 6)
@@ -35,7 +36,7 @@ class GeneratorConfig:
     boundary_noise_amplitude: float = 0.08
     centroid_spacing: tuple = (0.8, 1.6)
     canvas: tuple = (256, 256)
-    k: int = 360
+    k: int = DEFAULT_K
 
     def __post_init__(self):
         for name in ("n_objects", "base_radius", "eccentricity",
@@ -164,13 +165,23 @@ def import_dataset(directory):
         if not os.path.exists(manifest_path):
             continue
         with open(manifest_path, "r", encoding="ascii") as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+                centroids = [(float(x), float(y)) for x, y in doc["centroids"]]
+                dims = tuple(int(v) for v in doc["dims"])
+                truth_count = int(doc.get("truth_count", 0))
+            except (ValueError, TypeError, KeyError) as exc:
+                raise DatasetIOError(
+                    f"{manifest_path}: malformed scene manifest: "
+                    f"{type(exc).__name__}: {exc}") from exc
         clump_path = os.path.join(scene_dir, "clump.pgm")
         if not os.path.exists(clump_path):
             raise DatasetIOError(f"missing clump mask: {clump_path}")
         clump = read_pgm(clump_path)
-        centroids = [(float(x), float(y)) for x, y in doc["centroids"]]
-        truth_count = int(doc.get("truth_count", 0))
+        if dims != clump.shape[::-1]:
+            raise DatasetIOError(
+                f"{entry}: scene.json dims {list(dims)} but clump.pgm is "
+                f"{clump.shape[1]}x{clump.shape[0]}")
         if truth_count and truth_count != len(centroids):
             raise ManifestMismatch(
                 f"{entry}: {len(centroids)} centroids but "

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import multishape as ms
 from multishape.cli import main
@@ -169,6 +170,53 @@ class TestTrain:
                     + SMALL_ARGS) == 0
         manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
         assert len(manifest["training_scenes"]) == 8
+
+
+class TestMalformedFiles:
+    """Malformed dataset and model files are I/O errors: exit 3."""
+
+    SCENE_EDITS = {
+        "invalid_json": lambda doc: "{not json",
+        "no_centroids": lambda doc: json.dumps(
+            {k: v for k, v in doc.items() if k != "centroids"}),
+        "dims_mismatch": lambda doc: json.dumps({**doc, "dims": [95, 96]}),
+    }
+    MODEL_EDITS = {
+        "invalid_json": lambda doc: "[1, 2",
+        "no_mean": lambda doc: json.dumps(
+            {k: v for k, v in doc.items() if k != "mean"}),
+    }
+
+    @staticmethod
+    def dataset(tmp_path):
+        data = tmp_path / "data"
+        assert main(["generate", "--out", str(data), "--count", "2",
+                     "--seed", "3"] + SMALL_ARGS) == 0
+        return data
+
+    @pytest.mark.parametrize("case", sorted(SCENE_EDITS))
+    def test_bad_scene_json_exit3(self, tmp_path, capsys, case):
+        data = self.dataset(tmp_path)
+        path = data / "scene_0000" / "scene.json"
+        path.write_text(self.SCENE_EDITS[case](json.loads(path.read_text())))
+        code = main(["train", "--dataset", str(data),
+                     "--out", str(tmp_path / "m.json")] + SMALL_ARGS)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:io:") and "scene.json" in err
+
+    @pytest.mark.parametrize("case", sorted(MODEL_EDITS))
+    def test_bad_model_exit3(self, tmp_path, capsys, case):
+        data = self.dataset(tmp_path)
+        model = tmp_path / "m.json"
+        assert main(["train", "--dataset", str(data), "--out", str(model)]
+                    + SMALL_ARGS) == 0
+        model.write_text(self.MODEL_EDITS[case](json.loads(model.read_text())))
+        code = main(["segment", "--model", str(model), "--dataset", str(data),
+                     "--out", str(tmp_path / "seg")] + SMALL_ARGS)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:io:") and "m.json" in err
 
 
 class TestSegment:

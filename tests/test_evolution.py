@@ -117,6 +117,31 @@ class TestGradient:
         assert abs(g2[0] - g1[0]) <= 0.05 * abs(g1[0])
 
 
+class TestProbeTable:
+    @pytest.mark.parametrize("mult", [1.0, 2.0, 4.0])
+    def test_matches_energy(self, tiny_model, tiny_dataset, mult):
+        # every +-h entry of the batched table equals the reference energy
+        cfg = ms.EvolutionConfig(max_outer_iterations=3)
+        h = mult * cfg.fd_step
+        t = tiny_model.t
+        for scene in tiny_dataset[:4]:
+            _, state = ms.evolve(scene, tiny_model, cfg)
+            engine = ms.evolution._SceneEngine(scene, tiny_model, cfg)
+            x = state.x.reshape(scene.n_objects, t)
+            _, masks = engine.energy_at(x, state.alignments)
+            table = engine._probe_table(x, state.alignments, masks, h)
+            for i in range(scene.n_objects):
+                for j in range(t):
+                    for col, sign in ((2 * j, 1.0), (2 * j + 1, -1.0)):
+                        probe = x.copy()
+                        probe[i, j] += sign * h * engine.sqrt_ev[j]
+                        expected = ms.energy(scene, tiny_model,
+                                             probe.reshape(-1),
+                                             state.alignments)
+                        assert table[i, col] == expected, (scene.scene_id,
+                                                           i, col)
+
+
 class TestTrustRegion:
     def test_interior_newton(self):
         g = np.array([2.0, 0.0, 0.0])

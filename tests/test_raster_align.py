@@ -190,6 +190,13 @@ class TestNetpbm:
         with pytest.raises(ms.DatasetIOError):
             ms.read_pgm(tmp_path / "nope.pgm")
 
+    @pytest.mark.parametrize("size", [b"-3 4", b"4 -3", b"0 0", b"0 4"])
+    def test_non_positive_size(self, tmp_path, size):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P5\n" + size + b"\n255\n")
+        with pytest.raises(ms.DatasetIOError):
+            ms.read_pgm(path)
+
     def test_ppm_write(self, tmp_path):
         rgb = np.zeros((4, 5, 3), dtype=np.uint8)
         rgb[1, 2] = (255, 10, 20)
