@@ -50,7 +50,7 @@ from .metrics import (
     pixel_metrics,
 )
 from .netpbm import read_pgm, write_pgm, write_ppm
-from .raster import Alignment, boundary, mask_area, rasterize, union
+from .raster import Alignment, boundary, rasterize, union
 from .scene import ClumpScene
 from .shape_model import (
     ShapeExample,

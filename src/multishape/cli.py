@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import io
 import json
 import os
 import sys
@@ -24,7 +25,7 @@ from .errors import (
 from .evolution import evolve
 from .importance import TrainingPair, dataset_examples, learn
 from .metrics import bin_by_degree, object_report, pixel_metrics
-from .netpbm import read_pgm, write_pgm, write_ppm
+from .netpbm import atomic_write, read_pgm, write_pgm, write_ppm
 from .raster import boundary
 from .shape_model import build_model, load_model, sample_shape_vector, save_model
 from .synthgen import export_dataset, generate_batch, import_dataset
@@ -47,19 +48,18 @@ def _fail(category, message):
 
 
 def _dump_json(path, doc):
-    text = json.dumps(doc, sort_keys=True, indent=1)
-    tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w", encoding="ascii") as fh:
-        fh.write(text + "\n")
-    os.replace(tmp, path)
+    atomic_write(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
 def _config_from_args(args):
     return RunConfig.load(path=args.config, overrides=args.overrides)
 
 
-def _scene_sort_key(scene):
-    return scene.scene_id
+def _load_scenes(path):
+    scenes = sorted(import_dataset(path), key=lambda scene: scene.scene_id)
+    if not scenes:
+        raise DatasetIOError(f"no scenes found in {path}")
+    return scenes
 
 
 def cmd_generate(args):
@@ -106,9 +106,7 @@ def _sample_examples(scenes, k, step):
 
 def cmd_train(args):
     cfg = _config_from_args(args)
-    scenes = sorted(import_dataset(args.dataset), key=_scene_sort_key)
-    if not scenes:
-        raise DatasetIOError(f"no scenes found in {args.dataset}")
+    scenes = _load_scenes(args.dataset)
     selected = _select_fold(scenes, args.fold, args.folds, args.invert)
     if not selected:
         raise ConfigError("fold selection left no training scenes")
@@ -146,11 +144,7 @@ def cmd_train(args):
             "weight": u.weight, "energy_before": u.energy_before,
             "energy_after": u.energy_after,
         }, sort_keys=True) for u in history]
-        history_path = f"{args.out}.history.jsonl"
-        tmp = f"{history_path}.tmp{os.getpid()}"
-        with open(tmp, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
-        os.replace(tmp, history_path)
+        atomic_write(f"{args.out}.history.jsonl", "\n".join(lines) + "\n")
     print(f"trained on {len(selected)} scenes, {len(example_set)} examples, "
           f"t={model.t}, variance_fraction={model.variance_fraction:.6f}, "
           f"{len(history)} weight updates")
@@ -204,9 +198,7 @@ def cmd_segment(args):
     if model.k != cfg.k:
         raise ConfigError(
             f"model K={model.k} does not match configured K={cfg.k}")
-    scenes = sorted(import_dataset(args.dataset), key=_scene_sort_key)
-    if not scenes:
-        raise DatasetIOError(f"no scenes found in {args.dataset}")
+    scenes = _load_scenes(args.dataset)
     os.makedirs(args.out, exist_ok=True)
 
     jobs = max(1, args.jobs)
@@ -233,9 +225,7 @@ def cmd_segment(args):
 
 def cmd_evaluate(args):
     cfg = _config_from_args(args)
-    scenes = sorted(import_dataset(args.dataset), key=_scene_sort_key)
-    if not scenes:
-        raise DatasetIOError(f"no scenes found in {args.dataset}")
+    scenes = _load_scenes(args.dataset)
     scene_rows = []
     all_reports = []
     pixel_values = {"tpr": [], "tnr": [], "fpr": [], "fnr": []}
@@ -290,22 +280,21 @@ def cmd_evaluate(args):
     _dump_json(args.report, report)
 
     if args.csv:
-        tmp = f"{args.csv}.tmp{os.getpid()}"
-        with open(tmp, "w", newline="", encoding="ascii") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["scene_id", "object_id", "dsc",
-                             "overlapping_degree", "bin", "isolated",
-                             "tpr", "tnr", "fpr", "fnr"])
-            for row in scene_rows:
-                for obj in row["objects"]:
-                    writer.writerow([
-                        row["scene_id"], obj["object_id"],
-                        repr(obj["dsc"]), repr(obj["overlapping_degree"]),
-                        obj["bin"], int(obj["isolated"]),
-                        repr(row["tpr"]), repr(row["tnr"]),
-                        repr(row["fpr"]), repr(row["fnr"]),
-                    ])
-        os.replace(tmp, args.csv)
+        text = io.StringIO()
+        writer = csv.writer(text)
+        writer.writerow(["scene_id", "object_id", "dsc",
+                         "overlapping_degree", "bin", "isolated",
+                         "tpr", "tnr", "fpr", "fnr"])
+        for row in scene_rows:
+            for obj in row["objects"]:
+                writer.writerow([
+                    row["scene_id"], obj["object_id"],
+                    repr(obj["dsc"]), repr(obj["overlapping_degree"]),
+                    obj["bin"], int(obj["isolated"]),
+                    repr(row["tpr"]), repr(row["tnr"]),
+                    repr(row["fpr"]), repr(row["fnr"]),
+                ])
+        atomic_write(args.csv, text.getvalue())
     print(f"evaluated {len(scenes)} scenes; "
           f"dsc mean={aggregate['dsc']['mean']:.4f}")
     return EXIT_OK

@@ -4,20 +4,32 @@ The objective is the pixel count of the symmetric difference between the
 union of the objects' rasterized shapes and the clump mask.  It is an
 integer-valued, piecewise-constant function of the coefficients, so the
 gradient and Hessian of the local quadratic model come from central finite
-differences and a safeguarded SR1 update.  Steps minimize the quadratic
-model inside a trust region (Newton step when it fits, the exact
-ball-constrained solution on the boundary, Cauchy point for indefinite
-models), and each object's similarity alignment is refreshed by grid
-search between steps, adopted only when the energy does not increase.
+differences and a safeguarded SR1 update.  The optimizer works in
+per-mode standard-deviation units (coefficient j of a raw vector equals
+sqrt(eigenvalue_j) times its normalized value), so the default
+finite-difference step moves boundaries by a sizable fraction of a pixel
+and crosses the quantization plateaus of the objective.
 
-The optimizer works in per-mode standard-deviation units (coefficient j of
-a raw vector equals sqrt(eigenvalue_j) times its normalized value), so the
-default finite-difference step moves boundaries by a sizable fraction of a
-pixel and crosses the quantization plateaus of the objective.  When the
-trust region shrinks below the probe scale, the loop walks the probed
-landscape directly (single-coordinate moves at one, two, and four probe
-steps, then single grid-step alignment moves) and halts only once none of
-those moves can decrease the energy.
+The loop holds one immutable ``_Fit`` (coefficients, shapes, alignments,
+masks and energy of every object) and changes it only through
+``_SceneEngine.revise``, which re-synthesizes just the objects whose raw
+coefficients changed, re-rasterizes just those whose coefficients or
+alignment changed, and re-scores the union.  Each iteration runs these
+phases on it:
+
+- ``refresh_alignments``: grid-search the alignment of every object whose
+  shape changed since the last refresh; adopted only when an alignment
+  moved and the energy does not increase.
+- gradient: probe every coordinate at +-fd_step, once per fit, and update
+  SR1 (or build the exact finite-difference Hessian).
+- trust-region trial: minimize the quadratic model inside the trust ball
+  (Newton step when it fits, the exact ball-constrained solution on the
+  boundary, Cauchy point for indefinite models); accepted when it strictly
+  lowers the energy.
+- ``plateau_walk``: once the trust region is below the probe scale, take
+  the best single-coordinate move at one, two or four probe steps, else the
+  first single grid-step alignment move that lowers the energy.  The loop
+  halts only when the walk finds nothing and the radius is at its minimum.
 """
 
 from __future__ import annotations
@@ -46,7 +58,6 @@ class EvolutionConfig:
     max_trust_radius: float = 10.0
     shrink_ratio_threshold: float = 0.25
     grow_ratio_threshold: float = 0.75
-    alignment_refresh_period: int = 1
     exact_fd_hessian: bool = False
     grid: GridSearchConfig = field(default_factory=GridSearchConfig)
 
@@ -55,8 +66,8 @@ class EvolutionConfig:
                self.initial_trust_radius, self.min_trust_radius,
                self.max_trust_radius) <= 0:
             raise ValueError("evolution scales must be positive")
-        if self.max_outer_iterations < 1 or self.alignment_refresh_period < 1:
-            raise ValueError("iteration counts must be positive")
+        if self.max_outer_iterations < 1:
+            raise ValueError("max_outer_iterations must be positive")
         if not (0 < self.shrink_ratio_threshold
                 < self.grow_ratio_threshold < 1):
             raise ValueError("acceptance ratio thresholds must be ordered")
@@ -257,8 +268,26 @@ def trust_region_step(g, hess, delta):
     return step
 
 
+@dataclass(frozen=True)
+class _Fit:
+    """One scored hypothesis for every object of a scene.
+
+    ``c`` holds the normalized and ``x`` the raw coefficients, one row per
+    object; ``masks`` are flat over the clump's pixels and ``energy`` scores
+    their union.  A fit is never mutated: every move builds a new one with
+    :meth:`_SceneEngine.revise`.
+    """
+
+    c: np.ndarray
+    x: np.ndarray
+    radii: tuple
+    alignments: tuple
+    masks: tuple
+    energy: int
+
+
 class _SceneEngine:
-    """Per-scene state shared by the evolution loop.
+    """Per-scene state shared by the evolution phases.
 
     Holds one alignment searcher per object; the searcher's polar grid is
     reused for all probe rasterizations at that centroid.
@@ -279,7 +308,7 @@ class _SceneEngine:
                               radius_bound=bound)
             for c in scene.centroids
         ]
-        self._probe_energies = np.zeros((self.n, 2 * self.t), dtype=np.int64)
+        self._probed = (None, None)   # (fit, its +-fd_step probe table)
 
     def object_mask(self, i, radii, alignment):
         return self.searchers[i].grid.mask(radii, alignment.r, alignment.theta)
@@ -290,7 +319,38 @@ class _SceneEngine:
     def raw_from_normalized(self, c):
         return c * self.sqrt_ev[None, :]
 
-    def _probe_table(self, x, alignments, masks, h):
+    def initial_fit(self):
+        """Mean shapes at their best alignments."""
+        c = np.zeros((self.n, self.t))
+        x = self.raw_from_normalized(c)
+        radii = tuple(synthesize(self.model, row) for row in x)
+        alignments = tuple(s.search(r) for s, r in zip(self.searchers, radii))
+        masks = tuple(self.object_mask(i, radii[i], alignments[i])
+                      for i in range(self.n))
+        return _Fit(c, x, radii, alignments, masks, self.total_energy(masks))
+
+    def revise(self, fit, c=None, x=None, alignments=None):
+        """``fit`` with new coefficients and/or alignments, re-scored.
+
+        ``x`` defaults to the raw form of ``c``.  Only objects whose raw
+        coefficients changed are re-synthesized, and only objects whose
+        coefficients or alignment changed are re-rasterized.
+        """
+        if x is None:
+            x = fit.x if c is None else self.raw_from_normalized(c)
+        c = fit.c if c is None else c
+        alignments = fit.alignments if alignments is None else tuple(alignments)
+        radii, masks = list(fit.radii), list(fit.masks)
+        for i in range(self.n):
+            reshaped = not np.array_equal(x[i], fit.x[i])
+            if reshaped:
+                radii[i] = synthesize(self.model, x[i])
+            if reshaped or alignments[i] != fit.alignments[i]:
+                masks[i] = self.object_mask(i, radii[i], alignments[i])
+        return _Fit(c, x, tuple(radii), alignments, tuple(masks),
+                    self.total_energy(masks))
+
+    def _probe_table(self, fit, h):
         """Exact joint energies of every +-h single-coordinate move.
 
         Batched per object: probes change one object, so the other masks
@@ -299,16 +359,17 @@ class _SceneEngine:
         """
         energies = np.zeros((self.n, 2 * self.t), dtype=np.int64)
         for i in range(self.n):
-            others = union([np.zeros_like(self.bc)] + masks[:i] + masks[i + 1:])
-            probes = np.repeat(x[i][None, :], 2 * self.t, axis=0)
+            others = union((np.zeros_like(self.bc),)
+                           + fit.masks[:i] + fit.masks[i + 1:])
+            probes = np.repeat(fit.x[i][None, :], 2 * self.t, axis=0)
             idx = np.arange(self.t)
             probes[2 * idx, idx] += h * self.sqrt_ev
             probes[2 * idx + 1, idx] -= h * self.sqrt_ev
             radii = np.stack([synthesize(self.model, row) for row in probes])
             # pixels beyond every probe's reach contribute a constant
             grid = self.searchers[i].grid
-            stop, inside = grid.inside(radii, alignments[i].r,
-                                       alignments[i].theta)
+            alignment = fit.alignments[i]
+            stop, inside = grid.inside(radii, alignment.r, alignment.theta)
             near = grid.flat_index[:stop]
             o_d = others[near]
             bc_d = self.bc[near]
@@ -318,14 +379,15 @@ class _SceneEngine:
             energies[i] = outside_mismatch + np.count_nonzero(mismatch, axis=1)
         return energies
 
-    def gradient(self, x, alignments, masks):
+    def gradient(self, fit):
         """Normalized-unit central-difference gradient, batched per object.
 
-        Caches the probe energies; the plateau fallback reuses them.
+        Caches the probe energies; the plateau walk reuses them.
         """
         h = self.config.fd_step
-        self._probe_energies = self._probe_table(x, alignments, masks, h)
-        diffs = self._probe_energies[:, 0::2] - self._probe_energies[:, 1::2]
+        table = self._probe_table(fit, h)
+        self._probed = (fit, table)
+        diffs = table[:, 0::2] - table[:, 1::2]
         return (diffs / (2.0 * h)).reshape(-1)
 
     @staticmethod
@@ -361,123 +423,106 @@ class _SceneEngine:
                              theta=float(thetas[(t_idx - 1) % n_theta])))
         return out
 
-    def _alignment_escape(self, radii, masks, alignments, e_cur):
-        """First single-step alignment move that strictly decreases energy.
+    def refresh_alignments(self, fit, searched_x):
+        """Re-search the alignments of objects reshaped since ``searched_x``.
 
-        Scans objects in order and their neighbour alignments in a fixed
-        order, so the escape is deterministic.
+        The result is adopted only when some alignment moved and the energy
+        does not increase, so accepted energies stay strictly decreasing.
         """
+        alignments = list(fit.alignments)
         for i in range(self.n):
-            for candidate in self._alignment_neighbors(alignments[i]):
-                trial = self.object_mask(i, radii[i], candidate)
-                swapped = list(masks)
-                swapped[i] = trial
-                e_new = self.total_energy(swapped)
-                if e_new < e_cur:
-                    return i, candidate, trial, e_new
-        return None
+            if not np.array_equal(fit.x[i], searched_x[i]):
+                alignments[i] = self.searchers[i].search(fit.radii[i])
+        if tuple(alignments) == fit.alignments:
+            return fit
+        candidate = self.revise(fit, alignments=alignments)
+        return candidate if candidate.energy <= fit.energy else fit
 
-    def energy_at(self, x, alignments):
-        masks = [self.object_mask(i, synthesize(self.model, x[i]), alignments[i])
-                 for i in range(self.n)]
-        return self.total_energy(masks), masks
+    def plateau_walk(self, fit):
+        """First probed move that lowers the energy, as ``(fit, step_scale)``.
+
+        The quadratic model has no information below the probe scale, so
+        near a plateau the loop walks the probed landscape instead: the best
+        single-coordinate probe at one, then two, then four probe steps,
+        then the first single grid-step alignment move (step scale 0.0),
+        scanned by object in a fixed neighbour order.  Returns None when
+        none of these moves lowers the energy.
+        """
+        h = self.config.fd_step
+        probed_fit, table = self._probed
+        for step_scale in (h, 2.0 * h, 4.0 * h):
+            if step_scale != h or probed_fit is not fit:
+                table = self._probe_table(fit, step_scale)
+            move = self._best_table_move(table, fit.energy)
+            if move is not None:
+                i, j, sign = move
+                # apply in raw units exactly as the probe table built the
+                # point, so the new energy equals the probed one
+                x, c = fit.x.copy(), fit.c.copy()
+                bounds = self.model.coefficient_bounds()
+                x[i, j] += sign * step_scale * self.sqrt_ev[j]
+                x[i] = np.clip(x[i], -bounds, bounds)
+                c[i, j] = min(max(c[i, j] + sign * step_scale,
+                                  -COEFF_SIGMA_BOX), COEFF_SIGMA_BOX)
+                return self.revise(fit, c=c, x=x), step_scale
+        for i in range(self.n):
+            for candidate in self._alignment_neighbors(fit.alignments[i]):
+                alignments = list(fit.alignments)
+                alignments[i] = candidate
+                moved = self.revise(fit, alignments=alignments)
+                if moved.energy < fit.energy:
+                    return moved, 0.0
+        return None
 
     def run(self):
         cfg = self.config
         n, t = self.n, self.t
-        c = np.zeros((n, t))
-        x = self.raw_from_normalized(c)
-        radii = [synthesize(self.model, x[i]) for i in range(n)]
-        alignments = [self.searchers[i].search(radii[i]) for i in range(n)]
-        masks = [self.object_mask(i, radii[i], alignments[i]) for i in range(n)]
-        e_cur = self.total_energy(masks)
-        x_at_align = x.copy()
-
-        trace = []
-        delta = cfg.initial_trust_radius
-        halted = None
-        iteration = 0
+        fit = self.initial_fit()
+        searched_x = fit.x
+        trace, delta, iteration = [], cfg.initial_trust_radius, 0
         sr1 = Sr1Hessian(n * t)
-        prev_c = None
-        prev_g = None
-        g = None
-        fallback_exhausted = False
-
-        if e_cur <= self.e_star:
-            halted = "energy_threshold"
+        # the gradient, and a plateau walk that found nothing, stay valid
+        # while the fit they were computed for is the current one
+        grad_fit = g = walked = None
+        halted = "energy_threshold" if fit.energy <= self.e_star else None
 
         while halted is None and iteration < cfg.max_outer_iterations:
             iteration += 1
+            fit = self.refresh_alignments(fit, searched_x)
+            searched_x = fit.x
+            if fit.energy <= self.e_star:
+                halted = "energy_threshold"
+                break
 
-            if (iteration - 1) % cfg.alignment_refresh_period == 0:
-                stale = [i for i in range(n)
-                         if not np.array_equal(x[i], x_at_align[i])]
-                if stale:
-                    cand_align = list(alignments)
-                    cand_masks = list(masks)
-                    for i in stale:
-                        cand_align[i] = self.searchers[i].search(radii[i])
-                        cand_masks[i] = self.object_mask(i, radii[i],
-                                                         cand_align[i])
-                    e_cand = self.total_energy(cand_masks)
-                    # adopt only non-increasing refreshes so accepted-step
-                    # energies stay strictly decreasing
-                    if e_cand <= e_cur:
-                        moved = any(cand_align[i] != alignments[i]
-                                    for i in stale)
-                        alignments, masks = cand_align, cand_masks
-                        if e_cand < e_cur or moved:
-                            g = None
-                            fallback_exhausted = False
-                        e_cur = e_cand
-                    x_at_align = x.copy()
-                    if e_cur <= self.e_star:
-                        halted = "energy_threshold"
-                        break
-
-            if g is None:
-                g = self.gradient(x, alignments, masks)
-                if prev_c is not None and not np.array_equal(c, prev_c):
-                    sr1.update((c - prev_c).reshape(-1), g - prev_g)
-                prev_c, prev_g = c.copy(), g.copy()
+            if grad_fit is not fit:
+                g_new = self.gradient(fit)
+                if grad_fit is not None \
+                        and not np.array_equal(fit.c, grad_fit.c):
+                    sr1.update((fit.c - grad_fit.c).reshape(-1), g_new - g)
+                grad_fit, g = fit, g_new
                 if not np.any(g):
                     halted = "zero_gradient"
                     break
 
             if cfg.exact_fd_hessian:
                 def f(c_flat):
-                    x_probe = self.raw_from_normalized(c_flat.reshape(n, t))
-                    return self.energy_at(x_probe, alignments)[0]
-                hess = fd_hessian(f, c.reshape(-1), cfg.fd_step)
+                    return self.revise(fit, c=c_flat.reshape(n, t)).energy
+                hess = fd_hessian(f, fit.c.reshape(-1), cfg.fd_step)
             else:
                 hess = sr1.matrix
 
             p = trust_region_step(g, hess, delta)
             predicted = -_model_value(g, hess, p)
-            c_new = np.clip(c + p.reshape(n, t),
-                            -COEFF_SIGMA_BOX, COEFF_SIGMA_BOX)
-            x_new = self.raw_from_normalized(c_new)
-            changed = [i for i in range(n) if not np.array_equal(x_new[i], x[i])]
-            trial_radii = list(radii)
-            trial_masks = list(masks)
-            for i in changed:
-                trial_radii[i] = synthesize(self.model, x_new[i])
-                trial_masks[i] = self.object_mask(i, trial_radii[i],
-                                                  alignments[i])
-            e_trial = self.total_energy(trial_masks)
-            rho = (e_cur - e_trial) / predicted if predicted > 0 else -np.inf
             step_norm = float(np.linalg.norm(p))
-            accepted = predicted > 0 and rho > 0 and e_trial < e_cur
-
-            if accepted:
-                trace.append(TraceRow(iteration, e_trial, delta, step_norm,
-                                      True))
-                c, x = c_new, x_new
-                radii, masks = trial_radii, trial_masks
-                e_cur = e_trial
-                g = None
-                fallback_exhausted = False
-                if e_cur <= self.e_star:
+            trial = self.revise(fit, c=np.clip(fit.c + p.reshape(n, t),
+                                               -COEFF_SIGMA_BOX,
+                                               COEFF_SIGMA_BOX))
+            if predicted > 0 and trial.energy < fit.energy:
+                rho = (fit.energy - trial.energy) / predicted
+                trace.append(TraceRow(iteration, trial.energy, delta,
+                                      step_norm, True))
+                fit = trial
+                if fit.energy <= self.e_star:
                     halted = "energy_threshold"
                 elif rho > cfg.grow_ratio_threshold \
                         and step_norm >= delta - BOUNDARY_TOL:
@@ -486,91 +531,33 @@ class _SceneEngine:
                     delta = max(0.5 * delta, cfg.min_trust_radius)
                 continue
 
-            # The quadratic model has no information below the probe scale,
-            # so near a plateau the loop walks the probed landscape instead:
-            # the best cached probe point, then coarser coordinate probes,
-            # then single-step alignment moves.  It halts only when none of
-            # the probed moves can decrease the energy.
-            moved = False
-            if delta <= cfg.fd_step * (1.0 + 1e-12) and not fallback_exhausted:
-                step_scale = cfg.fd_step
-                move = self._best_table_move(self._probe_energies, e_cur)
-                if move is None:
-                    for mult in (2.0, 4.0):
-                        step_scale = mult * cfg.fd_step
-                        table = self._probe_table(x, alignments, masks,
-                                                  step_scale)
-                        move = self._best_table_move(table, e_cur)
-                        if move is not None:
-                            break
-                if move is not None:
-                    i_obj, j_mode, sign = move
-                    # apply in raw units exactly as the probe table built
-                    # the point, so the new energy equals the probed one
-                    x = x.copy()
-                    x[i_obj, j_mode] += sign * step_scale \
-                        * self.sqrt_ev[j_mode]
-                    bounds = self.model.coefficient_bounds()
-                    x[i_obj] = np.clip(x[i_obj], -bounds, bounds)
-                    c = c.copy()
-                    c[i_obj, j_mode] = min(max(
-                        c[i_obj, j_mode] + sign * step_scale,
-                        -COEFF_SIGMA_BOX), COEFF_SIGMA_BOX)
-                    radii = list(radii)
-                    masks = list(masks)
-                    radii[i_obj] = synthesize(self.model, x[i_obj])
-                    masks[i_obj] = self.object_mask(i_obj, radii[i_obj],
-                                                    alignments[i_obj])
-                    e_cur = self.total_energy(masks)
-                    trace.append(TraceRow(iteration, e_cur, delta,
-                                          step_scale, True))
-                    g = None
-                    moved = True
+            walk = None
+            if delta <= cfg.fd_step * (1.0 + 1e-12) and walked is not fit:
+                walk, walked = self.plateau_walk(fit), fit
+            if walk is not None:
+                fit, step_scale = walk
+                trace.append(TraceRow(iteration, fit.energy, delta,
+                                      step_scale, True))
+                if fit.energy <= self.e_star:
+                    halted = "energy_threshold"
                 else:
-                    escape = self._alignment_escape(radii, masks,
-                                                    alignments, e_cur)
-                    if escape is not None:
-                        i_obj, candidate, trial, e_new = escape
-                        alignments = list(alignments)
-                        alignments[i_obj] = candidate
-                        masks = list(masks)
-                        masks[i_obj] = trial
-                        e_cur = e_new
-                        trace.append(TraceRow(iteration, e_cur, delta,
-                                              0.0, True))
-                        g = None
-                        moved = True
-                    else:
-                        fallback_exhausted = True
-                if moved:
-                    fallback_exhausted = False
-                    if e_cur <= self.e_star:
-                        halted = "energy_threshold"
-                    else:
-                        delta = max(0.5 * delta, cfg.min_trust_radius,
-                                    min(cfg.fd_step, cfg.max_trust_radius))
-            if not moved:
-                trace.append(TraceRow(iteration, e_cur, delta, step_norm,
-                                      False))
-                if delta <= cfg.min_trust_radius * (1.0 + 1e-12):
-                    halted = "no_decrease"
-                else:
-                    delta = max(0.5 * delta, cfg.min_trust_radius)
+                    delta = max(0.5 * delta, cfg.min_trust_radius,
+                                min(cfg.fd_step, cfg.max_trust_radius))
+                continue
 
-        if halted is None:
-            halted = "max_iterations"
+            trace.append(TraceRow(iteration, fit.energy, delta, step_norm,
+                                  False))
+            if delta <= cfg.min_trust_radius * (1.0 + 1e-12):
+                halted = "no_decrease"
+            else:
+                delta = max(0.5 * delta, cfg.min_trust_radius)
 
         height, width = self.scene.clump.shape
-        final_masks = [m.reshape(height, width).copy() for m in masks]
+        final_masks = [m.reshape(height, width).copy() for m in fit.masks]
         state = EvolutionState(
-            x=x.reshape(-1).copy(),
-            alignments=list(alignments),
-            delta=delta,
-            energy=e_cur,
-            iteration=iteration,
-            trace=trace,
-            halted_reason=halted,
-        )
+            x=fit.x.reshape(-1).copy(), alignments=list(fit.alignments),
+            delta=delta, energy=fit.energy, iteration=iteration, trace=trace,
+            halted_reason=halted or "max_iterations")
         return final_masks, state
 
 

@@ -2,8 +2,9 @@
 
 Masks go to binary PGM (P5) with foreground 255 and background 0; the
 reader also accepts ASCII PGM (P2) and treats any nonzero value as
-foreground.  Color overlays go to binary PPM (P6).  All writes go through
-a temporary file and an atomic rename.
+foreground.  Color overlays go to binary PPM (P6).  Every file the package
+writes, images and JSON or CSV documents alike, goes through
+:func:`atomic_write`: a temporary file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -15,7 +16,10 @@ import numpy as np
 from .errors import DatasetIOError
 
 
-def _atomic_write(path, data):
+def atomic_write(path, data):
+    """Replace ``path`` with ``data`` (bytes, or text encoded as ASCII)."""
+    if isinstance(data, str):
+        data = data.encode("ascii")
     tmp = f"{path}.tmp{os.getpid()}"
     with open(tmp, "wb") as fh:
         fh.write(data)
@@ -27,7 +31,7 @@ def write_pgm(path, mask):
     mask = np.asarray(mask, dtype=bool)
     height, width = mask.shape
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
-    _atomic_write(path, header + (mask.astype(np.uint8) * 255).tobytes())
+    atomic_write(path, header + (mask.astype(np.uint8) * 255).tobytes())
 
 
 def _tokenize_header(data):
@@ -88,4 +92,4 @@ def write_ppm(path, rgb):
     rgb = np.ascontiguousarray(rgb, dtype=np.uint8)
     height, width, _ = rgb.shape
     header = f"P6\n{width} {height}\n255\n".encode("ascii")
-    _atomic_write(path, header + rgb.tobytes())
+    atomic_write(path, header + rgb.tobytes())

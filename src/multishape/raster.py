@@ -59,10 +59,6 @@ def union(masks):
     return out
 
 
-def mask_area(mask):
-    return int(np.count_nonzero(mask))
-
-
 def boundary(mask):
     """Foreground pixels with at least one 4-neighbour outside the mask."""
     mask = np.asarray(mask, dtype=bool)

@@ -10,7 +10,6 @@ coefficients boxed to +-3 standard deviations per mode.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +23,7 @@ from .errors import (
     RankDeficient,
 )
 from .geometry import TWO_PI
+from .netpbm import atomic_write
 
 DEFAULT_K = 360
 DEFAULT_VARIANCE_THRESHOLD = 0.995
@@ -233,11 +233,7 @@ def save_model(model, path):
         "variance_fraction": float(model.variance_fraction),
         "weights": [] if model.weights is None else model.weights.tolist(),
     }
-    text = json.dumps(doc, sort_keys=True, indent=1)
-    tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w", encoding="ascii") as fh:
-        fh.write(text + "\n")
-    os.replace(tmp, path)
+    atomic_write(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
 def load_model(path):
@@ -261,6 +257,12 @@ def load_model(path):
     k, t = int(doc["k"]), int(doc["t"])
     if mean.shape != (k,) or basis.shape != (k, t) or eigenvalues.shape != (t,):
         raise DimensionMismatch("model field shapes are inconsistent")
+    for name, values in (("mean", mean), ("basis", basis),
+                         ("eigenvalues", eigenvalues)):
+        if not np.all(np.isfinite(values)):
+            raise DatasetIOError(f"{path}: non-finite value in model {name}")
+    if np.any(eigenvalues <= 0):
+        raise DatasetIOError(f"{path}: non-positive model eigenvalues")
     weights = np.asarray(doc["weights"], dtype=np.float64)
     return ShapeModel(
         mean=mean,

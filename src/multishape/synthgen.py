@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CanvasTooSmall, DatasetIOError, ManifestMismatch
 from .geometry import TWO_PI
-from .netpbm import read_pgm, write_pgm
+from .netpbm import atomic_write, read_pgm, write_pgm
 from .raster import Alignment, rasterize, union
 from .scene import ClumpScene
 from .shape_model import DEFAULT_K, RADIUS_FLOOR
@@ -144,11 +144,8 @@ def export_dataset(scenes, directory):
             "centroids": [[x, y] for x, y in scene.centroids],
             "truth_count": len(scene.truth or []),
         }
-        path = os.path.join(scene_dir, "scene.json")
-        tmp = f"{path}.tmp{os.getpid()}"
-        with open(tmp, "w", encoding="ascii") as fh:
-            fh.write(json.dumps(doc, sort_keys=True, indent=1) + "\n")
-        os.replace(tmp, path)
+        atomic_write(os.path.join(scene_dir, "scene.json"),
+                     json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
 def import_dataset(directory):

@@ -185,6 +185,17 @@ class TestMalformedFiles:
         "invalid_json": lambda doc: "[1, 2",
         "no_mean": lambda doc: json.dumps(
             {k: v for k, v in doc.items() if k != "mean"}),
+        "nan_mean": lambda doc: json.dumps(
+            {**doc, "mean": [float("nan")] + doc["mean"][1:]}),
+        "inf_basis": lambda doc: json.dumps(
+            {**doc, "basis": [[float("inf")] + doc["basis"][0][1:]]
+             + doc["basis"][1:]}),
+        "nan_eigenvalues": lambda doc: json.dumps(
+            {**doc, "eigenvalues": [float("nan")] + doc["eigenvalues"][1:]}),
+        "negative_eigenvalues": lambda doc: json.dumps(
+            {**doc, "eigenvalues": [-1.0] + doc["eigenvalues"][1:]}),
+        "zero_eigenvalues": lambda doc: json.dumps(
+            {**doc, "eigenvalues": doc["eigenvalues"][:-1] + [0.0]}),
     }
 
     @staticmethod
@@ -217,6 +228,9 @@ class TestMalformedFiles:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("error:io:") and "m.json" in err
+        # a bad value names its field
+        field = case.rpartition("_")[2]
+        assert field == "json" or field in err
 
 
 class TestSegment:

@@ -65,17 +65,21 @@ def test_shared_keys_reach_every_section():
     assert cfg.learning.variance_threshold == 0.9
 
 
-def test_removed_rng_seed_flag_exit2(tmp_path, capsys):
+REMOVED_KEYS = ["evolution.rng_seed", "evolution.alignment_refresh_period"]
+
+
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_removed_key_flag_exit2(tmp_path, capsys, key):
     with pytest.raises(SystemExit) as exc:
-        main(["generate", "--out", str(tmp_path / "d"),
-              "--evolution.rng_seed", "1"])
+        main(["generate", "--out", str(tmp_path / "d"), f"--{key}", "1"])
     assert exc.value.code == 2
-    assert "evolution.rng_seed" in capsys.readouterr().err
+    assert key in capsys.readouterr().err
 
 
-def test_removed_rng_seed_config_key_exit2(tmp_path, capsys):
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_removed_key_config_exit2(tmp_path, capsys, key):
     cfg = tmp_path / "c.cfg"
-    cfg.write_text("evolution.rng_seed=1\n")
+    cfg.write_text(f"{key}=1\n")
     assert main(["generate", "--out", str(tmp_path / "d"),
                  "--config", str(cfg)]) == 2
-    assert "evolution.rng_seed" in capsys.readouterr().err
+    assert key in capsys.readouterr().err

@@ -125,11 +125,18 @@ class TestProbeTable:
         h = mult * cfg.fd_step
         t = tiny_model.t
         for scene in tiny_dataset[:4]:
-            _, state = ms.evolve(scene, tiny_model, cfg)
+            masks, state = ms.evolve(scene, tiny_model, cfg)
             engine = ms.evolution._SceneEngine(scene, tiny_model, cfg)
             x = state.x.reshape(scene.n_objects, t)
-            _, masks = engine.energy_at(x, state.alignments)
-            table = engine._probe_table(x, state.alignments, masks, h)
+            # evolve returns the masks at state.x
+            fit = ms.evolution._Fit(
+                c=x / engine.sqrt_ev,
+                x=x,
+                radii=tuple(ms.synthesize(tiny_model, row) for row in x),
+                alignments=tuple(state.alignments),
+                masks=tuple(m.reshape(-1) for m in masks),
+                energy=state.energy)
+            table = engine._probe_table(fit, h)
             for i in range(scene.n_objects):
                 for j in range(t):
                     for col, sign in ((2 * j, 1.0), (2 * j + 1, -1.0)):
@@ -140,6 +147,134 @@ class TestProbeTable:
                                              state.alignments)
                         assert table[i, col] == expected, (scene.scene_id,
                                                            i, col)
+
+
+class TestRevise:
+    def test_recomputes_only_what_changed(self, tiny_model, tiny_dataset):
+        scene = tiny_dataset[4]
+        engine = ms.evolution._SceneEngine(scene, tiny_model,
+                                           ms.EvolutionConfig())
+        fit = engine.initial_fit()
+        c = fit.c.copy()
+        c[1, 0] += 0.5
+        reshaped = engine.revise(fit, c=c)
+        alignments = list(fit.alignments)
+        alignments[2] = ms.Alignment(r=alignments[2].r + 0.05,
+                                     theta=alignments[2].theta)
+        realigned = engine.revise(fit, alignments=alignments)
+        for moved, changed in ((reshaped, 1), (realigned, 2)):
+            for i in range(scene.n_objects):
+                assert (moved.masks[i] is fit.masks[i]) == (i != changed)
+            assert moved.energy == ms.energy(scene, tiny_model,
+                                             moved.x.reshape(-1),
+                                             list(moved.alignments))
+        assert [r is f for r, f in zip(reshaped.radii, fit.radii)] \
+            == [True, False, True]
+        assert all(r is f for r, f in zip(realigned.radii, fit.radii))
+
+
+class TestPlateauWalk:
+    def test_alignment_escape(self):
+        # a disk fit one scale step too large; the only mode is too weak to
+        # move any pixel, so no coordinate probe helps and the walk must
+        # step the scale back
+        k = 72
+        model = manual_model(np.full(k, 12.0),
+                             [np.full(k, 1.0 / np.sqrt(k))], [1e-10])
+        scene = scene_from_radii(np.full(k, 12.0), (30.0, 30.0), (60, 60))
+        cfg = ms.EvolutionConfig()
+        engine = ms.evolution._SceneEngine(scene, model, cfg)
+        aligned = engine.initial_fit()
+        rs = cfg.grid.r_values()
+        r_idx = int(np.argmin(np.abs(rs - aligned.alignments[0].r)))
+        off = engine.revise(aligned, alignments=[ms.Alignment(
+            r=float(rs[r_idx + 1]), theta=aligned.alignments[0].theta)])
+        assert off.energy > aligned.energy
+        walk = engine.plateau_walk(off)
+        assert walk is not None
+        fit, step_scale = walk
+        assert step_scale == 0.0
+        assert fit.alignments == aligned.alignments
+        assert fit.energy == aligned.energy
+        assert np.array_equal(fit.x, off.x)
+
+
+class TestGoldenTrace:
+    """Pinned runs: per-row (iteration, energy, accepted) and the result."""
+
+    CASES = {
+        # trust-region steps, plateau coordinate moves, an exhausted walk
+        "tiny1": dict(
+            scene=1, config=dict(max_outer_iterations=200),
+            rows=[(1, 367, True), (2, 246, True), (3, 170, True),
+                  (4, 170, False), (5, 133, True), (6, 133, False),
+                  (7, 133, False), (8, 133, False), (9, 126, True),
+                  (10, 126, False), (11, 121, True), (12, 118, True),
+                  (13, 117, True), (14, 117, False), (15, 116, True),
+                  (16, 115, True), (17, 112, True), (18, 111, True),
+                  (19, 110, True), (20, 109, True), (21, 108, True),
+                  (22, 108, False), (23, 108, False), (24, 108, False),
+                  (25, 108, False), (26, 108, False), (27, 108, False),
+                  (28, 108, False), (29, 108, False)],
+            halted="no_decrease", iteration=29, energy=108,
+            alignments=[(1.1, 0.2617993877991494),
+                        (1.05, 0.6108652381980153)]),
+        # a refresh adopted at equal energy
+        "tiny2": dict(
+            scene=2, config=dict(),
+            rows=[(1, 91, True), (2, 91, False), (3, 66, True),
+                  (4, 66, False), (5, 50, True)],
+            halted="energy_threshold", iteration=5, energy=50,
+            alignments=[(0.8, 1.1344640137963142),
+                        (0.7, 3.6651914291880923)]),
+        "tiny3": dict(
+            scene=3, config=dict(),
+            rows=[(1, 94, False), (2, 92, True), (3, 75, True),
+                  (4, 55, True), (5, 40, True)],
+            halted="energy_threshold", iteration=5, energy=40,
+            alignments=[(0.9000000000000001, 1.658062789394613),
+                        (0.65, 0.8726646259971648)]),
+        # a refresh adopted at lower energy
+        "tiny5": dict(
+            scene=5, config=dict(),
+            rows=[(1, 141, True), (2, 84, True), (3, 53, True)],
+            halted="energy_threshold", iteration=3, energy=53,
+            alignments=[(0.7, 0.6108652381980153), (0.8, 2.356194490192345),
+                        (0.75, 6.19591884457987)]),
+        "tiny2_exact_hessian": dict(
+            scene=2, config=dict(exact_fd_hessian=True),
+            rows=[(1, 120, True), (2, 99, True), (3, 99, False),
+                  (4, 54, True)],
+            halted="energy_threshold", iteration=4, energy=54,
+            alignments=[(0.8500000000000001, 1.2217304763960306),
+                        (0.75, 0.4363323129985824)]),
+        # the scene of TestEvolve.test_exact_fd_hessian_path
+        "disk_exact_hessian": dict(
+            scene=None,
+            config=dict(max_outer_iterations=30, exact_fd_hessian=True),
+            rows=[],
+            halted="energy_threshold", iteration=0, energy=0,
+            alignments=[(1.3, 0.0)]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_pinned_run(self, tiny_model, tiny_dataset, name):
+        case = self.CASES[name]
+        if case["scene"] is None:
+            k = 48
+            model = uniform_mode_model(k, 10.0, eigenvalue=100.0)
+            scene = scene_from_radii(np.full(k, 13.0), (30.0, 30.0), (60, 60))
+        else:
+            model, scene = tiny_model, tiny_dataset[case["scene"]]
+        _, state = ms.evolve(scene, model,
+                             ms.EvolutionConfig(**case["config"]))
+        assert [(row.iteration, row.energy, row.accepted)
+                for row in state.trace] == case["rows"]
+        assert state.halted_reason == case["halted"]
+        assert state.iteration == case["iteration"]
+        assert state.energy == case["energy"]
+        assert [(a.r, a.theta) for a in state.alignments] \
+            == case["alignments"]
 
 
 class TestTrustRegion:
