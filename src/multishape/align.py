@@ -8,6 +8,12 @@ fixed rotation the candidate area is monotone in r and feasibility is a
 prefix of the scale grid.  The best candidate at each rotation is therefore
 the largest feasible scale, which makes the exhaustive search exact at a
 fraction of the brute-force cost.
+
+Every grid rotation is a whole-sector roll of the radii against one of the
+grid's few rotation-free tables (see :mod:`multishape.geometry`), so a
+search stacks the T rolled radii vectors and evaluates all rotations
+together: one (T, pixels) batch per chunk of background pixels for the
+feasibility scan, then per block of grid pixels for the area count.
 """
 
 from __future__ import annotations
@@ -19,6 +25,10 @@ import numpy as np
 from .errors import CentroidOutsideMask
 from .geometry import REACH_MARGIN, TWO_PI, RadialGrid
 from .raster import Alignment
+
+# Largest pixel block evaluated for all rotations at once; bounds the
+# (rotations x pixels) temporaries of a search.
+MAX_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -72,30 +82,64 @@ class AlignmentSearcher:
         self._bg_dist = self.grid.dist[self._bg_positions]
         self._r_values = self.config.r_values()
         self._theta_values = self.config.theta_values()
+        # rotation t is radii rolled by shifts[t] at one of the few table
+        # offsets; rows sharing an offset are evaluated in one batch
+        splits = [self.grid.split_rotation(t) for t in self._theta_values]
+        shifts = np.array([shift for shift, _ in splits])
+        self._roll_index = (np.arange(k)[None, :] - shifts[:, None]) % k
+        bases = [base for _, base in splits]
+        self._offset_rows = [(base, np.flatnonzero(np.equal(bases, base)))
+                             for base in dict.fromkeys(bases)]
 
-    def _background_min(self, radii, theta, max_s, cap):
-        """Certified minimum containment value over background pixels.
+    def _rotated_q(self, stack, index):
+        """``(rows, q)`` per table offset: the rotations sharing it and
+        their containment values at ``index``, one row per rotation."""
+        for base, rows in self._offset_rows:
+            yield rows, self.grid.q_values(stack[rows], base, index)
 
-        Background pixels are scanned outward in growing chunks; once the
-        remaining pixels are provably farther than the running minimum (or
-        the largest scale of interest) can reach, they cannot change any
-        comparison against the scale grid and the scan stops.
+    def _background_min(self, stack, max_s, cap):
+        """Certified per-rotation minimum containment value over background.
+
+        Background pixels are scanned outward in growing chunks, all
+        rotations at once; once the remaining pixels are provably farther
+        than every rotation's running minimum (or the largest scale of
+        interest) can reach, they cannot change any comparison against the
+        scale grid and the scan stops.  A rotation whose minimum exceeds
+        ``cap`` may see it lowered by pixels scanned for other rotations,
+        but never to ``cap`` or below, so its feasible scales are exact.
         """
         positions = self._bg_positions
         total = positions.size
-        minimum = np.inf
+        minimum = np.full(stack.shape[0], np.inf)
         start = 0
         chunk = 1024
         while start < total:
-            bound = min(minimum, cap)
+            bound = min(float(minimum.max()), cap)
             if self._bg_dist[start] > bound * max_s + REACH_MARGIN:
                 break
             stop = min(total, start + chunk)
-            q = self.grid.q_values(radii, theta, positions[start:stop])
-            minimum = min(minimum, float(q.min()))
+            for rows, q in self._rotated_q(stack, positions[start:stop]):
+                minimum[rows] = np.minimum(minimum[rows], q.min(axis=1))
             start = stop
-            chunk *= 4
+            chunk = min(4 * chunk, MAX_CHUNK)
         return minimum
+
+    def _inside_counts(self, stack, r, stop, where=None):
+        """Per-rotation count of the first ``stop`` grid pixels inside.
+
+        ``r`` holds one scale per rotation.  Pixels past a rotation's own
+        reach have q > r, so scanning to the largest reach adds nothing.
+        ``where`` restricts the count to a subset of the grid pixels.
+        """
+        counts = np.zeros(stack.shape[0], dtype=np.int64)
+        for start in range(0, stop, MAX_CHUNK):
+            block = slice(start, min(stop, start + MAX_CHUNK))
+            for rows, q in self._rotated_q(stack, block):
+                inside = q <= r[rows, None]
+                if where is not None:
+                    inside &= where[block]
+                counts[rows] += np.count_nonzero(inside, axis=1)
+        return counts
 
     def search(self, radii):
         """Best alignment for one radii vector, with deterministic ties.
@@ -105,7 +149,8 @@ class AlignmentSearcher:
         candidate is always the largest feasible scale because containment
         is monotone in the scale.  If no candidate fits inside the clump,
         returns the one with the fewest outside pixels (ties: smaller
-        scale, then smaller rotation).
+        scale, then smaller rotation).  All rotations are evaluated
+        together as rolls of ``radii``.
         """
         radii = np.asarray(radii, dtype=np.float64)
         if radii.size != self.grid.k:
@@ -114,27 +159,27 @@ class AlignmentSearcher:
         if max_s > self.radius_bound:
             raise ValueError("shape exceeds the searcher's radius bound")
         rs = self._r_values
-        r_cap = float(rs[-1])
-        best = None          # (area, r, theta)
-        fallback = None      # (outside_count, theta)
-        for theta in self._theta_values:
-            min_bg = self._background_min(radii, theta, max_s, r_cap)
-            feasible = rs < min_bg
-            if feasible.any():
-                r = float(rs[np.nonzero(feasible)[0][-1]])
-                _, inside = self.grid.inside(radii, r, theta)
-                area = int(np.count_nonzero(inside))
-                if best is None or area > best[0] or (area == best[0] and r > best[1]):
-                    best = (area, r, float(theta))
-            elif best is None:
-                stop, inside = self.grid.inside(radii, float(rs[0]), theta)
-                outside = int(np.count_nonzero(inside
-                                               & self._background[:stop]))
-                if fallback is None or outside < fallback[0]:
-                    fallback = (outside, float(theta))
-        if best is not None:
-            return Alignment(r=best[1], theta=best[2])
-        return Alignment(r=float(rs[0]), theta=fallback[1])
+        stack = radii[self._roll_index]
+        min_bg = self._background_min(stack, max_s, float(rs[-1]))
+        # number of scales strictly below each rotation's background minimum
+        n_feasible = np.searchsorted(rs, min_bg, side="left")
+        feasible = np.flatnonzero(n_feasible)
+        if feasible.size:
+            # infeasible rotations get rs[0]; their counts are never read
+            r = rs[np.maximum(n_feasible, 1) - 1]
+            stop = self.grid.reach_stop(float(r[feasible].max()) * max_s)
+            area = self._inside_counts(stack, r, stop)
+            # largest area, then larger scale; lexsort is stable, so the
+            # smaller rotation wins the remaining ties
+            order = np.lexsort((-n_feasible[feasible], -area[feasible]))
+            best = feasible[order[0]]
+            return Alignment(r=float(r[best]),
+                             theta=float(self._theta_values[best]))
+        r0 = np.full(stack.shape[0], rs[0])
+        stop = self.grid.reach_stop(float(rs[0]) * max_s)
+        outside = self._inside_counts(stack, r0, stop, self._background)
+        return Alignment(r=float(rs[0]),
+                         theta=float(self._theta_values[np.argmin(outside)]))
 
 
 def align(radii, centroid, clump, config=None):

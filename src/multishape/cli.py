@@ -28,7 +28,13 @@ from .metrics import bin_by_degree, object_report, pixel_metrics
 from .netpbm import atomic_write, read_pgm, write_pgm, write_ppm
 from .raster import boundary
 from .shape_model import build_model, load_model, sample_shape_vector, save_model
-from .synthgen import export_dataset, generate_batch, import_dataset
+from .synthgen import (
+    export_dataset,
+    generate_batch,
+    import_dataset,
+    import_scene,
+    scene_dirs,
+)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -42,8 +48,10 @@ OVERLAY_PALETTE = (
 CLUMP_GRAY = 96
 
 
-def _fail(category, message):
-    print(f"error:{category}: {message}", file=sys.stderr)
+def _fail(exc, prefix=""):
+    """Report ``exc`` as a config or I/O error and return its exit code."""
+    category = "io" if isinstance(exc, (DatasetIOError, OSError)) else "config"
+    print(f"error:{category}: {prefix}{exc}", file=sys.stderr)
     return EXIT_CONFIG if category == "config" else EXIT_IO
 
 
@@ -161,7 +169,23 @@ def _overlay_image(scene, masks):
     return rgb
 
 
-def _segment_scene(scene, model, evolution_config, out_dir):
+def _segment_scene(scene_dir, model, evolution_config, out_dir):
+    """Load and segment one scene; a package error fails only this scene.
+
+    Returns ``(summary, error)``, where ``error`` is the caught
+    :class:`MultishapeError` or None.
+    """
+    try:
+        scene = import_scene(scene_dir)
+        return _write_segmentation(scene, model, evolution_config,
+                                   out_dir), None
+    except MultishapeError as exc:
+        summary = {"scene_id": os.path.basename(scene_dir),
+                   "halted_reason": "error", "error": str(exc)}
+        return summary, exc
+
+
+def _write_segmentation(scene, model, evolution_config, out_dir):
     masks, state = evolve(scene, model, evolution_config)
     for i, mask in enumerate(masks):
         write_pgm(os.path.join(out_dir, f"{scene.scene_id}_obj{i}.pgm"), mask)
@@ -198,29 +222,39 @@ def cmd_segment(args):
     if model.k != cfg.k:
         raise ConfigError(
             f"model K={model.k} does not match configured K={cfg.k}")
-    scenes = _load_scenes(args.dataset)
+    scenes = scene_dirs(args.dataset)
+    if not scenes:
+        raise DatasetIOError(f"no scenes found in {args.dataset}")
     os.makedirs(args.out, exist_ok=True)
 
     jobs = max(1, args.jobs)
     if jobs == 1:
-        summaries = [_segment_scene(s, model, cfg.evolution, args.out)
-                     for s in scenes]
+        results = [_segment_scene(s, model, cfg.evolution, args.out)
+                   for s in scenes]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_segment_scene, s, model, cfg.evolution,
                                    args.out) for s in scenes]
-            summaries = [f.result() for f in futures]
-    summaries.sort(key=lambda s: s["scene_id"])
+            results = [f.result() for f in futures]
+    results.sort(key=lambda result: result[0]["scene_id"])
+    summaries = [summary for summary, _ in results]
     all_dsc = [v for s in summaries for v in s.get("dsc", [])]
     report = {"scenes": summaries}
     if all_dsc:
         report["mean_dsc"] = float(np.mean(all_dsc))
     _dump_json(os.path.join(args.out, "segment_summary.json"), report)
+    failed = [(summary["scene_id"], exc) for summary, exc in results
+              if exc is not None]
     line = f"segmented {len(scenes)} scenes into {args.out}"
+    if failed:
+        line += f", {len(failed)} failed"
     if all_dsc:
         line += f", mean_dsc={report['mean_dsc']:.4f}"
     print(line)
-    return EXIT_OK
+    # name the scene unless the message already does
+    codes = [_fail(exc, "" if scene_id in str(exc) else f"{scene_id}: ")
+             for scene_id, exc in failed]
+    return codes[0] if codes else EXIT_OK
 
 
 def cmd_evaluate(args):
@@ -364,12 +398,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
-        return _fail("config", exc)
-    except (DatasetIOError, OSError) as exc:
-        return _fail("io", exc)
-    except MultishapeError as exc:
-        return _fail("config", exc)
+    except (MultishapeError, ValueError, OSError) as exc:
+        return _fail(exc)
     except Exception as exc:  # pragma: no cover - defensive
         print(f"error:internal: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -9,22 +9,37 @@ distance to the center does not exceed the boundary chord at their angle.
 
 Every raster query in this package reduces to the scale-free quantity
 
-    q(p) = d(p) * (s_u * a(p) + s_v * b(p)) / (s_u * s_v * sin(2*pi/K))
+    q(p) = A(p) / r[m + 1] + B(p) / r[m]
 
-where d is the pixel-center distance, (s_u, s_v) are the two vertex radii
-spanning the pixel's angular sector, and a, b are the sines of the angular
-offsets to the sector edges.  A pixel lies in the filled region at scale r
-precisely when q <= r, which makes containment exactly monotone in r.
-Since q >= d / max(radii), pixels beyond r * max(radii) plus a small
-rounding margin can never be inside; grid pixels are kept sorted by
-distance so such pixels can be skipped by slicing.
+where m is the angular sector holding pixel p, r[m] and r[m + 1] are the
+radii of the sector's two vertices (indices mod K), and
 
-That reach cut followed by the test q <= r is the package's single
+    A = d * a / sin(2*pi/K),    B = d * b / sin(2*pi/K)
+
+with d the pixel-center distance and a, b the sines of the angular offsets
+from the sector's first and second edge to the pixel.  A pixel lies in the
+filled region at scale r precisely when q <= r, which makes containment
+exactly monotone in r.  Since q >= d / max(radii), pixels beyond
+r * max(radii) plus a small rounding margin can never be inside; grid pixels
+are kept sorted by distance so such pixels can be skipped by slicing.
+
+The tables (m, A, B) do not depend on the shape, and rotation only moves
+them by whole sectors: rotating the shape by s * 2*pi/K puts vertex j where
+vertex j + s was, which is the same as rolling the radii by s.  A rotation
+theta is therefore split into a whole-sector shift s and a fractional
+offset, snapped to multiples of OFFSET_QUANTUM of a sector; the grid keeps
+one table per fractional offset and evaluates ``np.roll(radii, s)`` against
+it.  The T rotations 2*pi*t/T of the alignment search need T/gcd(K, T)
+tables, a single one whenever T divides K.
+
+The reach cut followed by the test q <= r is the package's single
 containment rule, :meth:`RadialGrid.inside`.  Rasterization, the evolution
 energy and its probes, and the alignment search's area count all use it.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -34,6 +49,11 @@ TWO_PI = 2.0 * np.pi
 # never satisfy q <= scale; the margin absorbs floating-point rounding.
 REACH_MARGIN = 2.0
 
+# Resolution of a rotation's fractional sector offset.  A power of two, so
+# snapping is exact; coarse enough that every theta of one exact offset,
+# computed in floating point, lands on the same multiple for K up to ~10^4.
+OFFSET_QUANTUM = 2.0 ** -36
+
 
 class RadialGrid:
     """Per-pixel polar lookup tables around one center point.
@@ -41,9 +61,9 @@ class RadialGrid:
     Covers every canvas pixel whose center lies within ``reach`` of the
     center, ordered by increasing distance (ties by flat index).  The
     tables are shape independent: one grid serves any radii vector of
-    length ``k`` at any rotation.  Sector tables are memoized per rotation
-    angle so repeated queries at the same angle cost only gathers and
-    arithmetic.
+    length ``k`` at any rotation.  They are built once per fractional
+    sector offset of the rotation (see :meth:`split_rotation`); whole
+    sectors of rotation are a roll of the radii.
     """
 
     def __init__(self, center, dims, k, reach):
@@ -79,8 +99,6 @@ class RadialGrid:
         self.flat_index = flat_index[order]
         self.dist = dist[order]
         self._phi = phi[order]
-        self._sin_phi = np.sin(self._phi)
-        self._cos_phi = np.cos(self._phi)
 
         self.center = (cx, cy)
         self.dims = (width, height)
@@ -88,22 +106,45 @@ class RadialGrid:
         self.k = int(k)
         self.sector = TWO_PI / self.k
         self._sin_sector = np.sin(self.sector)
-        self._theta_tables: dict[float, tuple] = {}
+        self._tables: dict[float, tuple] = {}
 
     @property
     def size(self):
         return self.dist.size
 
-    def _sector_table(self, theta):
-        theta = float(theta)
-        table = self._theta_tables.get(theta)
+    def split_rotation(self, theta):
+        """``(shift, base)`` with ``theta`` = ``shift`` sectors + ``base``.
+
+        ``base`` is the canonical angle of the fractional sector offset, in
+        [0, 2*pi/K), so every rotation with the same offset shares one table.
+        The shape rotated by ``theta`` is the shape with radii
+        ``np.roll(radii, shift)`` rotated by ``base``, and
+        ``split_rotation(base)`` is ``(0, base)``.
+        """
+        turns = float(theta) / self.sector
+        whole = math.floor(turns)
+        steps = round((turns - whole) / OFFSET_QUANTUM)
+        if steps * OFFSET_QUANTUM >= 1.0:
+            whole, steps = whole + 1, 0
+        return whole % self.k, steps * OFFSET_QUANTUM * self.sector
+
+    def _sector_table(self, base):
+        """Per-pixel sector ``m``, ``m + 1``, ``A`` and ``B`` at offset ``base``.
+
+        Built elementwise, without reductions, so a pixel's entries do not
+        depend on the grid's extent.
+        """
+        table = self._tables.get(base)
         if table is None:
-            phi_rel = np.mod(self._phi - theta, TWO_PI)
+            phi_rel = np.mod(self._phi - base, TWO_PI)
             m = (phi_rel / self.sector).astype(np.int32)
             np.minimum(m, self.k - 1, out=m)
-            vertex_angles = theta + self.sector * np.arange(self.k + 1)
-            table = (m, np.sin(vertex_angles), np.cos(vertex_angles))
-            self._theta_tables[theta] = table
+            edge = self.sector * m
+            scale = self.dist / self._sin_sector
+            coef_a = scale * np.sin(phi_rel - edge)
+            coef_b = scale * np.sin((edge + self.sector) - phi_rel)
+            table = (m, m + 1, coef_a, coef_b)
+            self._tables[base] = table
         return table
 
     def q_values(self, radii, theta, index=slice(None)):
@@ -112,22 +153,24 @@ class RadialGrid:
         ``index`` is a slice or an index array into the distance-sorted
         pixels.  ``radii`` may be a (k,) vector or an (n, k) batch; the
         result has shape (m,) or (n, m) for m selected pixels.  A pixel is
-        inside the shape scaled by r exactly when its value is <= r.
+        inside the shape scaled by r exactly when its value is <= r.  The
+        radii are rolled by the whole-sector shift of ``theta`` and
+        evaluated against the table of its fractional offset.
         """
         radii = np.asarray(radii, dtype=np.float64)
         if radii.shape[-1] != self.k:
             raise ValueError(
                 f"radii length {radii.shape[-1]} does not match grid k={self.k}")
-        m, sin_a, cos_a = self._sector_table(theta)
-        m = m[index]
-        sin_phi, cos_phi = self._sin_phi[index], self._cos_phi[index]
-        dist = self.dist[index]
-        a = sin_phi * cos_a[m] - cos_phi * sin_a[m]
-        b = cos_phi * sin_a[m + 1] - sin_phi * cos_a[m + 1]
-        ext = np.concatenate([radii, radii[..., :1]], axis=-1)
-        su = ext[..., m]
-        sv = ext[..., m + 1]
-        return dist * (su * a + sv * b) / (su * sv * self._sin_sector)
+        shift, base = self.split_rotation(theta)
+        m, m_next, coef_a, coef_b = self._sector_table(base)
+        inv = np.roll(1.0 / radii, shift, axis=-1)
+        inv = np.concatenate([inv, inv[..., :1]], axis=-1)
+        q = np.take(inv, m_next[index], axis=-1)
+        q *= coef_a[index]
+        term = np.take(inv, m[index], axis=-1)
+        term *= coef_b[index]
+        q += term
+        return q
 
     def inside(self, radii, r, theta):
         """Which grid pixels the shape scaled by ``r`` contains.
@@ -139,9 +182,13 @@ class RadialGrid:
         entry.
         """
         radii = np.asarray(radii, dtype=np.float64)
-        reach = r * float(radii.max()) + REACH_MARGIN
-        stop = int(np.searchsorted(self.dist, reach, side="right"))
+        stop = self.reach_stop(r * float(radii.max()))
         return stop, self.q_values(radii, theta, slice(0, stop)) <= r
+
+    def reach_stop(self, extent):
+        """Number of grid pixels within ``extent + REACH_MARGIN``."""
+        return int(np.searchsorted(self.dist, extent + REACH_MARGIN,
+                                   side="right"))
 
     def mask(self, radii, r, theta):
         """Flat canvas mask of the shape at scale ``r``, rotation ``theta``."""

@@ -236,6 +236,10 @@ def save_model(model, path):
     atomic_write(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
+def _float_array(value):
+    return np.asarray(value, dtype=np.float64)
+
+
 def load_model(path):
     """Load a model serialized by :func:`save_model`."""
     with open(path, "r", encoding="ascii") as fh:
@@ -251,10 +255,18 @@ def load_model(path):
     missing = MODEL_JSON_KEYS - set(doc)
     if missing:
         raise DatasetIOError(f"{path}: missing model fields: {sorted(missing)}")
-    mean = np.asarray(doc["mean"], dtype=np.float64)
-    basis = np.asarray(doc["basis"], dtype=np.float64).T
-    eigenvalues = np.asarray(doc["eigenvalues"], dtype=np.float64)
-    k, t = int(doc["k"]), int(doc["t"])
+
+    def field(name, convert):
+        try:
+            return convert(doc[name])
+        except (TypeError, ValueError) as exc:
+            raise DatasetIOError(
+                f"{path}: model field {name} has the wrong type: {exc}") from exc
+
+    mean = field("mean", _float_array)
+    basis = field("basis", _float_array).T
+    eigenvalues = field("eigenvalues", _float_array)
+    k, t = field("k", int), field("t", int)
     if mean.shape != (k,) or basis.shape != (k, t) or eigenvalues.shape != (t,):
         raise DimensionMismatch("model field shapes are inconsistent")
     for name, values in (("mean", mean), ("basis", basis),
@@ -263,12 +275,12 @@ def load_model(path):
             raise DatasetIOError(f"{path}: non-finite value in model {name}")
     if np.any(eigenvalues <= 0):
         raise DatasetIOError(f"{path}: non-positive model eigenvalues")
-    weights = np.asarray(doc["weights"], dtype=np.float64)
+    weights = field("weights", _float_array)
     return ShapeModel(
         mean=mean,
         basis=basis,
         eigenvalues=eigenvalues,
-        variance_fraction=float(doc["variance_fraction"]),
+        variance_fraction=field("variance_fraction", float),
         k=k,
         t=t,
         weights=weights if weights.size else None,

@@ -148,53 +148,59 @@ def export_dataset(scenes, directory):
                      json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
-def import_dataset(directory):
-    """Load every scene subdirectory, sorted by name."""
+def scene_dirs(directory):
+    """Sorted paths of the subdirectories of ``directory`` with a scene.json."""
     try:
         entries = sorted(e for e in os.listdir(directory)
                          if os.path.isdir(os.path.join(directory, e)))
     except OSError as exc:
         raise DatasetIOError(f"cannot list {directory}: {exc}") from exc
-    scenes = []
-    for entry in entries:
-        scene_dir = os.path.join(directory, entry)
-        manifest_path = os.path.join(scene_dir, "scene.json")
-        if not os.path.exists(manifest_path):
-            continue
-        with open(manifest_path, "r", encoding="ascii") as fh:
-            try:
-                doc = json.load(fh)
-                centroids = [(float(x), float(y)) for x, y in doc["centroids"]]
-                dims = tuple(int(v) for v in doc["dims"])
-                truth_count = int(doc.get("truth_count", 0))
-            except (ValueError, TypeError, KeyError) as exc:
-                raise DatasetIOError(
-                    f"{manifest_path}: malformed scene manifest: "
-                    f"{type(exc).__name__}: {exc}") from exc
-        clump_path = os.path.join(scene_dir, "clump.pgm")
-        if not os.path.exists(clump_path):
-            raise DatasetIOError(f"missing clump mask: {clump_path}")
-        clump = read_pgm(clump_path)
-        if dims != clump.shape[::-1]:
+    return [os.path.join(directory, e) for e in entries
+            if os.path.exists(os.path.join(directory, e, "scene.json"))]
+
+
+def import_scene(scene_dir):
+    """Load one scene directory written by :func:`export_dataset`."""
+    entry = os.path.basename(scene_dir)
+    manifest_path = os.path.join(scene_dir, "scene.json")
+    with open(manifest_path, "r", encoding="ascii") as fh:
+        try:
+            doc = json.load(fh)
+            centroids = [(float(x), float(y)) for x, y in doc["centroids"]]
+            dims = tuple(int(v) for v in doc["dims"])
+            truth_count = int(doc.get("truth_count", 0))
+        except (ValueError, TypeError, KeyError) as exc:
             raise DatasetIOError(
-                f"{entry}: scene.json dims {list(dims)} but clump.pgm is "
-                f"{clump.shape[1]}x{clump.shape[0]}")
-        if truth_count and truth_count != len(centroids):
-            raise ManifestMismatch(
-                f"{entry}: {len(centroids)} centroids but "
-                f"{truth_count} truth masks")
-        truths = None
-        if truth_count:
-            truths = []
-            for i in range(truth_count):
-                path = os.path.join(scene_dir, f"truth_{i}.pgm")
-                if not os.path.exists(path):
-                    raise DatasetIOError(f"missing truth mask: {path}")
-                truths.append(read_pgm(path))
-        scenes.append(ClumpScene(
-            clump=clump,
-            centroids=centroids,
-            truth=truths,
-            scene_id=doc.get("scene_id", entry),
-        ))
-    return scenes
+                f"{manifest_path}: malformed scene manifest: "
+                f"{type(exc).__name__}: {exc}") from exc
+    clump_path = os.path.join(scene_dir, "clump.pgm")
+    if not os.path.exists(clump_path):
+        raise DatasetIOError(f"missing clump mask: {clump_path}")
+    clump = read_pgm(clump_path)
+    if dims != clump.shape[::-1]:
+        raise DatasetIOError(
+            f"{entry}: scene.json dims {list(dims)} but clump.pgm is "
+            f"{clump.shape[1]}x{clump.shape[0]}")
+    if truth_count and truth_count != len(centroids):
+        raise ManifestMismatch(
+            f"{entry}: {len(centroids)} centroids but "
+            f"{truth_count} truth masks")
+    truths = None
+    if truth_count:
+        truths = []
+        for i in range(truth_count):
+            path = os.path.join(scene_dir, f"truth_{i}.pgm")
+            if not os.path.exists(path):
+                raise DatasetIOError(f"missing truth mask: {path}")
+            truths.append(read_pgm(path))
+    return ClumpScene(
+        clump=clump,
+        centroids=centroids,
+        truth=truths,
+        scene_id=doc.get("scene_id", entry),
+    )
+
+
+def import_dataset(directory):
+    """Load every scene subdirectory, sorted by name."""
+    return [import_scene(scene_dir) for scene_dir in scene_dirs(directory)]

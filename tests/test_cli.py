@@ -196,6 +196,16 @@ class TestMalformedFiles:
             {**doc, "eigenvalues": [-1.0] + doc["eigenvalues"][1:]}),
         "zero_eigenvalues": lambda doc: json.dumps(
             {**doc, "eigenvalues": doc["eigenvalues"][:-1] + [0.0]}),
+        "string_mean": lambda doc: json.dumps(
+            {**doc, "mean": ["wide"] + doc["mean"][1:]}),
+        "ragged_basis": lambda doc: json.dumps(
+            {**doc, "basis": doc["basis"] + [doc["basis"][0][:-1]]}),
+        "text_k": lambda doc: json.dumps({**doc, "k": "abc"}),
+        "text_t": lambda doc: json.dumps({**doc, "t": "abc"}),
+        "text_weights": lambda doc: json.dumps(
+            {**doc, "weights": ["heavy"] + doc["weights"][1:]}),
+        "list_variance_fraction": lambda doc: json.dumps(
+            {**doc, "variance_fraction": [0.5]}),
     }
 
     @staticmethod
@@ -267,6 +277,36 @@ class TestSegment:
         assert len(sorted(out.glob("*_obj*.pgm"))) == 8
         assert len(sorted(out.glob("*_overlay.ppm"))) == 4
         summary = json.loads((out / "segment_summary.json").read_text())
+        assert summary["mean_dsc"] >= 0.85
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_bad_scene_isolated(self, tmp_path, capsys, jobs):
+        data = tmp_path / "data"
+        model = tmp_path / "m.json"
+        assert main(["generate", "--out", str(data), "--count", "3",
+                     "--seed", "5"] + SMALL_ARGS) == 0
+        assert main(["train", "--dataset", str(data), "--out", str(model)]
+                    + SMALL_ARGS) == 0
+        # move one centroid of the middle scene onto the background corner
+        path = data / "scene_0001" / "scene.json"
+        doc = json.loads(path.read_text())
+        doc["centroids"][0] = [0.5, 0.5]
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "seg"
+        code = main(["segment", "--model", str(model), "--dataset", str(data),
+                     "--out", str(out), "--jobs", jobs] + SMALL_ARGS)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:config: scene_0001: centroid")
+        summary = json.loads((out / "segment_summary.json").read_text())
+        scenes = {s["scene_id"]: s for s in summary["scenes"]}
+        assert sorted(scenes) == ["scene_0000", "scene_0001", "scene_0002"]
+        assert scenes["scene_0001"]["halted_reason"] == "error"
+        assert "not on clump foreground" in scenes["scene_0001"]["error"]
+        for scene_id in ("scene_0000", "scene_0002"):
+            assert scenes[scene_id]["halted_reason"] != "error"
+            assert (out / f"{scene_id}_trace.json").exists()
+        assert not (out / "scene_0001_trace.json").exists()
         assert summary["mean_dsc"] >= 0.85
 
     def test_parallel_jobs_identical(self, tmp_path):

@@ -62,6 +62,46 @@ class TestRasterize:
             oracle = fill_polygon_oracle(vertices, (40, 40))
             assert np.array_equal(mask, oracle), f"trial {trial}"
 
+    @pytest.mark.parametrize("theta", [0.123, 5.9, -0.4, 7.0])
+    def test_non_grid_rotation_matches_oracle(self, theta):
+        rng = np.random.default_rng(5)
+        for k in (7, 37, 48):
+            radii = rng.uniform(4.0, 11.0, size=k)
+            alignment = ms.Alignment(r=1.2, theta=theta)
+            mask = ms.rasterize(radii, (20.3, 19.6), alignment, (40, 40))
+            vertices = radial_vertices(radii, (20.3, 19.6), 1.2, theta)
+            oracle = fill_polygon_oracle(vertices, (40, 40))
+            assert np.array_equal(mask, oracle), f"k={k}"
+
+
+class TestRadialGrid:
+    @pytest.mark.parametrize("k", [37, 360])
+    def test_whole_sector_rotation_is_roll(self, k):
+        rng = np.random.default_rng(k)
+        radii = rng.uniform(8.0, 14.0, size=k)
+        grid = ms.geometry.RadialGrid((30.4, 29.7), (60, 60), k, 30.0)
+        base = grid.q_values(radii, 0.0)
+        for s in range(0, k, max(1, k // 37)):
+            theta = s * 2 * np.pi / k
+            rolled = grid.q_values(np.roll(radii, s), 0.0)
+            assert np.array_equal(grid.q_values(radii, theta), rolled)
+            assert s == 0 or not np.array_equal(rolled, base)
+
+    @pytest.mark.parametrize("k, theta_count", [(360, 72), (48, 72),
+                                                (37, 8), (36, 8)])
+    def test_one_table_per_fractional_offset(self, k, theta_count):
+        center = (24.0, 24.0)
+        clump = disk_mask((48, 48), center, 14.0)
+        radii = np.full(k, 8.0)
+        config = ms.GridSearchConfig(theta_count=theta_count)
+        searcher = ms.AlignmentSearcher(center, clump, k, config,
+                                        radius_bound=8.0)
+        searcher.search(radii)
+        for theta in config.theta_values():
+            searcher.grid.mask(radii, 1.0, theta)
+        assert len(searcher.grid._tables) == theta_count // np.gcd(
+            k, theta_count)
+
 
 class TestUnion:
     def test_idempotent(self):
@@ -120,27 +160,60 @@ class TestAlign:
         assert dist <= step + 1e-9
 
     def test_matches_brute_force(self):
+        # table offsets per search: 2 for K=36 against 8 rotations, 8 for
+        # the coprime K=37, 3 for K=48 against 72
         rng = np.random.default_rng(17)
-        config = ms.GridSearchConfig(r_min=0.5, r_max=1.5, r_step=0.25,
-                                     theta_count=8)
-        r_values = config.r_values()
-        theta_values = config.theta_values()
-        for trial in range(6):
-            center = (24.0 + rng.uniform(-2, 2), 24.0 + rng.uniform(-2, 2))
-            clump = ellipse_mask((48, 48), center,
-                                 rng.uniform(10, 16), rng.uniform(7, 12),
-                                 rotation=rng.uniform(0, np.pi))
-            k = 36
-            radii = rng.uniform(5.0, 9.0) * np.ones(k) \
-                * (1.0 + 0.15 * np.cos(2 * np.pi * np.arange(k) / k * 2
-                                       + rng.uniform(0, 6)))
-            fast = ms.AlignmentSearcher(center, clump, k, config,
-                                        radius_bound=float(radii.max()))
-            got = fast.search(radii)
-            expected = brute_force_align(radii, center, clump, r_values,
-                                         theta_values, ms.rasterize,
-                                         ms.Alignment)
-            assert got == expected, f"trial {trial}"
+        for k, theta_count in ((36, 8), (37, 8), (48, 72)):
+            config = ms.GridSearchConfig(r_min=0.5, r_max=1.5, r_step=0.25,
+                                         theta_count=theta_count)
+            r_values = config.r_values()
+            theta_values = config.theta_values()
+            for trial in range(6):
+                center = (24.0 + rng.uniform(-2, 2),
+                          24.0 + rng.uniform(-2, 2))
+                clump = ellipse_mask((48, 48), center,
+                                     rng.uniform(10, 16), rng.uniform(7, 12),
+                                     rotation=rng.uniform(0, np.pi))
+                radii = rng.uniform(5.0, 9.0) * np.ones(k) \
+                    * (1.0 + 0.15 * np.cos(2 * np.pi * np.arange(k) / k * 2
+                                           + rng.uniform(0, 6)))
+                fast = ms.AlignmentSearcher(center, clump, k, config,
+                                            radius_bound=float(radii.max()))
+                got = fast.search(radii)
+                expected = brute_force_align(radii, center, clump, r_values,
+                                             theta_values, ms.rasterize,
+                                             ms.Alignment)
+                assert got == expected, f"k={k} trial {trial}"
+
+    def test_equal_area_prefers_larger_scale(self):
+        # only the centroid pixel fits; rotations with an edge (not a
+        # vertex) towards the 4-neighbours reach one scale step further
+        clump = np.zeros((32, 32), dtype=bool)
+        clump[16, 16] = True
+        radii = np.full(36, 1.0)
+        config = ms.GridSearchConfig()
+        result = ms.align(radii, (16.5, 16.5), clump)
+        assert result == brute_force_align(
+            radii, (16.5, 16.5), clump, config.r_values(),
+            config.theta_values(), ms.rasterize, ms.Alignment)
+        assert result.r == pytest.approx(1.0) and result.theta > 0.0
+
+    def test_far_background_limits_scale(self):
+        # a needle in a needle-shaped clump: the background past the
+        # clump's tips, far beyond the background nearest the centroid,
+        # bounds the aligned rotation's scale
+        center = (80.0, 80.0)
+        clump = ellipse_mask((160, 160), center, 40.0, 5.0)
+        k = 36
+        angles = 2 * np.pi * np.arange(k) / k
+        radii = 90.0 / np.hypot(3.0 * np.cos(angles), 30.0 * np.sin(angles))
+        config = ms.GridSearchConfig(r_min=1.0, r_max=1.6, r_step=0.05,
+                                     theta_count=24)
+        result = ms.align(radii, center, clump, config)
+        assert result == brute_force_align(
+            radii, center, clump, config.r_values(), config.theta_values(),
+            ms.rasterize, ms.Alignment)
+        assert result.r < 1.5
 
     def test_feasible_result_is_subset(self):
         center = (40.0, 40.0)
@@ -157,6 +230,24 @@ class TestAlign:
         radii = np.full(36, 30.0)
         result = ms.align(radii, center, clump)
         assert result.r == pytest.approx(0.3)
+        config = ms.GridSearchConfig()
+        assert result == brute_force_align(
+            radii, center, clump, config.r_values(), config.theta_values(),
+            ms.rasterize, ms.Alignment)
+        # an elongated shape over a thin clump: the rotation decides how
+        # many pixels spill outside
+        center = (20.0, 20.0)
+        clump = ellipse_mask((40, 40), center, 9.0, 2.0, rotation=0.7)
+        for k, theta_count in ((36, 24), (37, 8), (48, 72)):
+            angles = 2 * np.pi * np.arange(k) / k
+            radii = 30.0 / np.hypot(np.cos(angles), 3.0 * np.sin(angles))
+            config = ms.GridSearchConfig(r_min=0.5, r_max=1.0, r_step=0.25,
+                                         theta_count=theta_count)
+            result = ms.align(radii, center, clump, config)
+            assert result.theta != 0.0
+            assert result == brute_force_align(
+                radii, center, clump, config.r_values(),
+                config.theta_values(), ms.rasterize, ms.Alignment), f"k={k}"
 
     def test_centroid_outside_clump(self):
         clump = disk_mask((32, 32), (16.0, 16.0), 5.0)
