@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CentroidOutsideMask
-from .geometry import REACH_MARGIN, TWO_PI, RadialGrid
+from .geometry import TWO_PI, RadialGrid
 from .raster import Alignment
 
 # Largest pixel block evaluated for all rotations at once; bounds the
@@ -74,12 +74,11 @@ class AlignmentSearcher:
         if radius_bound is None:
             radius_bound = max(width, height)
         self.radius_bound = float(radius_bound)
-        reach = self.config.r_max * self.radius_bound + REACH_MARGIN
-        self.grid = RadialGrid((cx, cy), (width, height), k, reach)
+        self.grid = RadialGrid((cx, cy), (width, height), k,
+                               self.config.r_max * self.radius_bound)
         self._background = ~clump.reshape(-1)[self.grid.flat_index]
         # grid pixels are distance-sorted, so these are too
         self._bg_positions = np.nonzero(self._background)[0]
-        self._bg_dist = self.grid.dist[self._bg_positions]
         self._r_values = self.config.r_values()
         self._theta_values = self.config.theta_values()
         # rotation t is radii rolled by shifts[t] at one of the few table
@@ -90,6 +89,22 @@ class AlignmentSearcher:
         bases = [base for _, base in splits]
         self._offset_rows = [(base, np.flatnonzero(np.equal(bases, base)))
                              for base in dict.fromkeys(bases)]
+
+    def neighbors(self, alignment):
+        """Single grid-step moves of ``alignment``, on the searched grids.
+
+        In order: the next larger scale, the next smaller scale, the next
+        rotation and the previous rotation (rotations wrap around).
+        """
+        rs, thetas = self._r_values, self._theta_values
+        r_idx = int(np.argmin(np.abs(rs - alignment.r)))
+        t_idx = int(np.argmin(np.abs(thetas - alignment.theta)))
+        out = [Alignment(r=float(rs[j]), theta=alignment.theta)
+               for j in (r_idx + 1, r_idx - 1) if 0 <= j < rs.size]
+        out += [Alignment(r=alignment.r,
+                          theta=float(thetas[(t_idx + step) % thetas.size]))
+                for step in (1, -1)]
+        return out
 
     def _rotated_q(self, stack, index):
         """``(rows, q)`` per table offset: the rotations sharing it and
@@ -115,7 +130,7 @@ class AlignmentSearcher:
         chunk = 1024
         while start < total:
             bound = min(float(minimum.max()), cap)
-            if self._bg_dist[start] > bound * max_s + REACH_MARGIN:
+            if positions[start] >= self.grid.reach_stop(bound * max_s):
                 break
             stop = min(total, start + chunk)
             for rows, q in self._rotated_q(stack, positions[start:stop]):

@@ -4,15 +4,17 @@ The objective is the pixel count of the symmetric difference between the
 union of the objects' rasterized shapes and the clump mask.  It is an
 integer-valued, piecewise-constant function of the coefficients, so the
 gradient and Hessian of the local quadratic model come from central finite
-differences and a safeguarded SR1 update.  The optimizer works in
+differences and a safeguarded SR1 update.  The optimizer works only in
 per-mode standard-deviation units (coefficient j of a raw vector equals
-sqrt(eigenvalue_j) times its normalized value), so the default
-finite-difference step moves boundaries by a sizable fraction of a pixel
-and crosses the quantization plateaus of the objective.
+sqrt(eigenvalue_j) times its normalized value; raw vectors are formed just
+to synthesize shapes and for ``EvolutionState.x``), so the probe step
+``FD_STEP`` moves boundaries by a sizable fraction of a pixel and crosses
+the quantization plateaus of the objective.  The trust-region policy is
+fixed by the module constants below.
 
 The loop holds one immutable ``_Fit`` (coefficients, shapes, alignments,
 masks and energy of every object) and changes it only through
-``_SceneEngine.revise``, which re-synthesizes just the objects whose raw
+``_SceneEngine.revise``, which re-synthesizes just the objects whose
 coefficients changed, re-rasterizes just those whose coefficients or
 alignment changed, and re-scores the union.  Each iteration runs these
 phases on it:
@@ -20,7 +22,7 @@ phases on it:
 - ``refresh_alignments``: grid-search the alignment of every object whose
   shape changed since the last refresh; adopted only when an alignment
   moved and the energy does not increase.
-- gradient: probe every coordinate at +-fd_step, once per fit, and update
+- gradient: probe every coordinate at +-FD_STEP, once per fit, and update
   SR1 (or build the exact finite-difference Hessian).
 - trust-region trial: minimize the quadratic model inside the trust ball
   (Newton step when it fits, the exact ball-constrained solution on the
@@ -40,10 +42,20 @@ import numpy as np
 
 from .align import AlignmentSearcher, GridSearchConfig
 from .errors import DimensionMismatch, ZeroGradient
-from .raster import Alignment, rasterize, union
-from .shape_model import RADIUS_FLOOR, COEFF_SIGMA_BOX, synthesize
+from .raster import rasterize, union
+from .shape_model import COEFF_SIGMA_BOX, synthesize
 
 BOUNDARY_TOL = 1e-9
+
+# Trust-region policy in normalized units.  The radius halves when the
+# actual decrease is below SHRINK_RATIO of the predicted one, and doubles
+# above GROW_RATIO when the step reached the boundary.
+FD_STEP = 0.1
+INITIAL_TRUST_RADIUS = 1.0
+MIN_TRUST_RADIUS = 1e-3
+MAX_TRUST_RADIUS = 10.0
+SHRINK_RATIO = 0.25
+GROW_RATIO = 0.75
 
 
 @dataclass(frozen=True)
@@ -52,28 +64,14 @@ class EvolutionConfig:
 
     energy_threshold_fraction: float = 0.05
     max_outer_iterations: int = 200
-    fd_step: float = 0.1
-    initial_trust_radius: float = 1.0
-    min_trust_radius: float = 1e-3
-    max_trust_radius: float = 10.0
-    shrink_ratio_threshold: float = 0.25
-    grow_ratio_threshold: float = 0.75
     exact_fd_hessian: bool = False
     grid: GridSearchConfig = field(default_factory=GridSearchConfig)
 
     def __post_init__(self):
-        if min(self.energy_threshold_fraction, self.fd_step,
-               self.initial_trust_radius, self.min_trust_radius,
-               self.max_trust_radius) <= 0:
-            raise ValueError("evolution scales must be positive")
+        if self.energy_threshold_fraction <= 0:
+            raise ValueError("energy_threshold_fraction must be positive")
         if self.max_outer_iterations < 1:
             raise ValueError("max_outer_iterations must be positive")
-        if not (0 < self.shrink_ratio_threshold
-                < self.grow_ratio_threshold < 1):
-            raise ValueError("acceptance ratio thresholds must be ordered")
-        if not (self.min_trust_radius <= self.initial_trust_radius
-                <= self.max_trust_radius):
-            raise ValueError("trust radius bounds must be ordered")
 
 
 @dataclass(frozen=True)
@@ -272,14 +270,13 @@ def trust_region_step(g, hess, delta):
 class _Fit:
     """One scored hypothesis for every object of a scene.
 
-    ``c`` holds the normalized and ``x`` the raw coefficients, one row per
-    object; ``masks`` are flat over the clump's pixels and ``energy`` scores
-    their union.  A fit is never mutated: every move builds a new one with
-    :meth:`_SceneEngine.revise`.
+    ``c`` holds the normalized coefficients, one row per object, and
+    ``radii`` their shapes; ``masks`` are flat over the clump's pixels and
+    ``energy`` scores their union.  A fit is never mutated: every move builds
+    a new one with :meth:`_SceneEngine.revise`.
     """
 
     c: np.ndarray
-    x: np.ndarray
     radii: tuple
     alignments: tuple
     masks: tuple
@@ -302,13 +299,12 @@ class _SceneEngine:
         self.bc = scene.clump.reshape(-1)
         self.e_star = config.energy_threshold_fraction * scene.clump_area
         self.sqrt_ev = np.sqrt(model.eigenvalues)
-        bound = max(model.max_radius_bound(), RADIUS_FLOOR)
         self.searchers = [
             AlignmentSearcher(c, scene.clump, model.k, config.grid,
-                              radius_bound=bound)
+                              radius_bound=model.max_radius_bound())
             for c in scene.centroids
         ]
-        self._probed = (None, None)   # (fit, its +-fd_step probe table)
+        self._probed = (None, None)   # (fit, its +-FD_STEP probe table)
 
     def object_mask(self, i, radii, alignment):
         return self.searchers[i].grid.mask(radii, alignment.r, alignment.theta)
@@ -317,37 +313,36 @@ class _SceneEngine:
         return mask_energy(union(masks), self.bc)
 
     def raw_from_normalized(self, c):
-        return c * self.sqrt_ev[None, :]
+        """Raw coefficients of normalized ones, row by row."""
+        return c * self.sqrt_ev
 
     def initial_fit(self):
         """Mean shapes at their best alignments."""
         c = np.zeros((self.n, self.t))
-        x = self.raw_from_normalized(c)
-        radii = tuple(synthesize(self.model, row) for row in x)
+        radii = tuple(synthesize(self.model, row)
+                      for row in self.raw_from_normalized(c))
         alignments = tuple(s.search(r) for s, r in zip(self.searchers, radii))
         masks = tuple(self.object_mask(i, radii[i], alignments[i])
                       for i in range(self.n))
-        return _Fit(c, x, radii, alignments, masks, self.total_energy(masks))
+        return _Fit(c, radii, alignments, masks, self.total_energy(masks))
 
-    def revise(self, fit, c=None, x=None, alignments=None):
+    def revise(self, fit, c=None, alignments=None):
         """``fit`` with new coefficients and/or alignments, re-scored.
 
-        ``x`` defaults to the raw form of ``c``.  Only objects whose raw
-        coefficients changed are re-synthesized, and only objects whose
-        coefficients or alignment changed are re-rasterized.
+        Only objects whose coefficients changed are re-synthesized, and only
+        objects whose coefficients or alignment changed are re-rasterized.
         """
-        if x is None:
-            x = fit.x if c is None else self.raw_from_normalized(c)
         c = fit.c if c is None else c
         alignments = fit.alignments if alignments is None else tuple(alignments)
         radii, masks = list(fit.radii), list(fit.masks)
         for i in range(self.n):
-            reshaped = not np.array_equal(x[i], fit.x[i])
+            reshaped = not np.array_equal(c[i], fit.c[i])
             if reshaped:
-                radii[i] = synthesize(self.model, x[i])
+                radii[i] = synthesize(self.model,
+                                      self.raw_from_normalized(c[i]))
             if reshaped or alignments[i] != fit.alignments[i]:
                 masks[i] = self.object_mask(i, radii[i], alignments[i])
-        return _Fit(c, x, tuple(radii), alignments, tuple(masks),
+        return _Fit(c, tuple(radii), alignments, tuple(masks),
                     self.total_energy(masks))
 
     def _probe_table(self, fit, h):
@@ -361,11 +356,12 @@ class _SceneEngine:
         for i in range(self.n):
             others = union((np.zeros_like(self.bc),)
                            + fit.masks[:i] + fit.masks[i + 1:])
-            probes = np.repeat(fit.x[i][None, :], 2 * self.t, axis=0)
+            probes = np.repeat(fit.c[i][None, :], 2 * self.t, axis=0)
             idx = np.arange(self.t)
-            probes[2 * idx, idx] += h * self.sqrt_ev
-            probes[2 * idx + 1, idx] -= h * self.sqrt_ev
-            radii = np.stack([synthesize(self.model, row) for row in probes])
+            probes[2 * idx, idx] += h
+            probes[2 * idx + 1, idx] -= h
+            radii = np.stack([synthesize(self.model, row)
+                              for row in self.raw_from_normalized(probes)])
             # pixels beyond every probe's reach contribute a constant
             grid = self.searchers[i].grid
             alignment = fit.alignments[i]
@@ -384,11 +380,10 @@ class _SceneEngine:
 
         Caches the probe energies; the plateau walk reuses them.
         """
-        h = self.config.fd_step
-        table = self._probe_table(fit, h)
+        table = self._probe_table(fit, FD_STEP)
         self._probed = (fit, table)
         diffs = table[:, 0::2] - table[:, 1::2]
-        return (diffs / (2.0 * h)).reshape(-1)
+        return (diffs / (2.0 * FD_STEP)).reshape(-1)
 
     @staticmethod
     def _best_table_move(table, e_cur):
@@ -404,34 +399,15 @@ class _SceneEngine:
         i_obj, col = divmod(flat, table.shape[1])
         return i_obj, col // 2, 1.0 if col % 2 == 0 else -1.0
 
-    def _alignment_neighbors(self, alignment):
-        """Single grid-step moves of one alignment, on canonical grid values."""
-        grid_cfg = self.config.grid
-        rs = grid_cfg.r_values()
-        thetas = grid_cfg.theta_values()
-        r_idx = int(np.argmin(np.abs(rs - alignment.r)))
-        t_idx = int(np.argmin(np.abs(thetas - alignment.theta)))
-        out = []
-        if r_idx + 1 < rs.size:
-            out.append(Alignment(r=float(rs[r_idx + 1]), theta=alignment.theta))
-        if r_idx > 0:
-            out.append(Alignment(r=float(rs[r_idx - 1]), theta=alignment.theta))
-        n_theta = thetas.size
-        out.append(Alignment(r=alignment.r,
-                             theta=float(thetas[(t_idx + 1) % n_theta])))
-        out.append(Alignment(r=alignment.r,
-                             theta=float(thetas[(t_idx - 1) % n_theta])))
-        return out
-
-    def refresh_alignments(self, fit, searched_x):
-        """Re-search the alignments of objects reshaped since ``searched_x``.
+    def refresh_alignments(self, fit, searched_c):
+        """Re-search the alignments of objects reshaped since ``searched_c``.
 
         The result is adopted only when some alignment moved and the energy
         does not increase, so accepted energies stay strictly decreasing.
         """
         alignments = list(fit.alignments)
         for i in range(self.n):
-            if not np.array_equal(fit.x[i], searched_x[i]):
+            if not np.array_equal(fit.c[i], searched_c[i]):
                 alignments[i] = self.searchers[i].search(fit.radii[i])
         if tuple(alignments) == fit.alignments:
             return fit
@@ -448,25 +424,19 @@ class _SceneEngine:
         scanned by object in a fixed neighbour order.  Returns None when
         none of these moves lowers the energy.
         """
-        h = self.config.fd_step
         probed_fit, table = self._probed
-        for step_scale in (h, 2.0 * h, 4.0 * h):
-            if step_scale != h or probed_fit is not fit:
+        for step_scale in (FD_STEP, 2.0 * FD_STEP, 4.0 * FD_STEP):
+            if step_scale != FD_STEP or probed_fit is not fit:
                 table = self._probe_table(fit, step_scale)
             move = self._best_table_move(table, fit.energy)
             if move is not None:
                 i, j, sign = move
-                # apply in raw units exactly as the probe table built the
-                # point, so the new energy equals the probed one
-                x, c = fit.x.copy(), fit.c.copy()
-                bounds = self.model.coefficient_bounds()
-                x[i, j] += sign * step_scale * self.sqrt_ev[j]
-                x[i] = np.clip(x[i], -bounds, bounds)
+                c = fit.c.copy()
                 c[i, j] = min(max(c[i, j] + sign * step_scale,
                                   -COEFF_SIGMA_BOX), COEFF_SIGMA_BOX)
-                return self.revise(fit, c=c, x=x), step_scale
+                return self.revise(fit, c=c), step_scale
         for i in range(self.n):
-            for candidate in self._alignment_neighbors(fit.alignments[i]):
+            for candidate in self.searchers[i].neighbors(fit.alignments[i]):
                 alignments = list(fit.alignments)
                 alignments[i] = candidate
                 moved = self.revise(fit, alignments=alignments)
@@ -478,8 +448,8 @@ class _SceneEngine:
         cfg = self.config
         n, t = self.n, self.t
         fit = self.initial_fit()
-        searched_x = fit.x
-        trace, delta, iteration = [], cfg.initial_trust_radius, 0
+        searched_c = fit.c
+        trace, delta, iteration = [], INITIAL_TRUST_RADIUS, 0
         sr1 = Sr1Hessian(n * t)
         # the gradient, and a plateau walk that found nothing, stay valid
         # while the fit they were computed for is the current one
@@ -488,8 +458,8 @@ class _SceneEngine:
 
         while halted is None and iteration < cfg.max_outer_iterations:
             iteration += 1
-            fit = self.refresh_alignments(fit, searched_x)
-            searched_x = fit.x
+            fit = self.refresh_alignments(fit, searched_c)
+            searched_c = fit.c
             if fit.energy <= self.e_star:
                 halted = "energy_threshold"
                 break
@@ -507,7 +477,7 @@ class _SceneEngine:
             if cfg.exact_fd_hessian:
                 def f(c_flat):
                     return self.revise(fit, c=c_flat.reshape(n, t)).energy
-                hess = fd_hessian(f, fit.c.reshape(-1), cfg.fd_step)
+                hess = fd_hessian(f, fit.c.reshape(-1), FD_STEP)
             else:
                 hess = sr1.matrix
 
@@ -524,15 +494,14 @@ class _SceneEngine:
                 fit = trial
                 if fit.energy <= self.e_star:
                     halted = "energy_threshold"
-                elif rho > cfg.grow_ratio_threshold \
-                        and step_norm >= delta - BOUNDARY_TOL:
-                    delta = min(2.0 * delta, cfg.max_trust_radius)
-                elif rho < cfg.shrink_ratio_threshold:
-                    delta = max(0.5 * delta, cfg.min_trust_radius)
+                elif rho > GROW_RATIO and step_norm >= delta - BOUNDARY_TOL:
+                    delta = min(2.0 * delta, MAX_TRUST_RADIUS)
+                elif rho < SHRINK_RATIO:
+                    delta = max(0.5 * delta, MIN_TRUST_RADIUS)
                 continue
 
             walk = None
-            if delta <= cfg.fd_step * (1.0 + 1e-12) and walked is not fit:
+            if delta <= FD_STEP * (1.0 + 1e-12) and walked is not fit:
                 walk, walked = self.plateau_walk(fit), fit
             if walk is not None:
                 fit, step_scale = walk
@@ -541,23 +510,23 @@ class _SceneEngine:
                 if fit.energy <= self.e_star:
                     halted = "energy_threshold"
                 else:
-                    delta = max(0.5 * delta, cfg.min_trust_radius,
-                                min(cfg.fd_step, cfg.max_trust_radius))
+                    # the walk ran at or below the probe scale; resume there
+                    delta = FD_STEP
                 continue
 
             trace.append(TraceRow(iteration, fit.energy, delta, step_norm,
                                   False))
-            if delta <= cfg.min_trust_radius * (1.0 + 1e-12):
+            if delta <= MIN_TRUST_RADIUS * (1.0 + 1e-12):
                 halted = "no_decrease"
             else:
-                delta = max(0.5 * delta, cfg.min_trust_radius)
+                delta = max(0.5 * delta, MIN_TRUST_RADIUS)
 
         height, width = self.scene.clump.shape
         final_masks = [m.reshape(height, width).copy() for m in fit.masks]
         state = EvolutionState(
-            x=fit.x.reshape(-1).copy(), alignments=list(fit.alignments),
-            delta=delta, energy=fit.energy, iteration=iteration, trace=trace,
-            halted_reason=halted or "max_iterations")
+            x=self.raw_from_normalized(fit.c).reshape(-1),
+            alignments=list(fit.alignments), delta=delta, energy=fit.energy,
+            iteration=iteration, trace=trace, halted_reason=halted or "max_iterations")
         return final_masks, state
 
 

@@ -58,22 +58,24 @@ OFFSET_QUANTUM = 2.0 ** -36
 class RadialGrid:
     """Per-pixel polar lookup tables around one center point.
 
-    Covers every canvas pixel whose center lies within ``reach`` of the
-    center, ordered by increasing distance (ties by flat index).  The
-    tables are shape independent: one grid serves any radii vector of
-    length ``k`` at any rotation.  They are built once per fractional
-    sector offset of the rotation (see :meth:`split_rotation`); whole
-    sectors of rotation are a roll of the radii.
+    Covers every canvas pixel whose center lies within ``extent`` plus
+    ``REACH_MARGIN`` of the center, so a shape whose scaled radii stay
+    within ``extent`` is covered whole, ordered by increasing distance
+    (ties by flat index).  The tables are shape independent: one grid
+    serves any radii vector of length ``k`` at any rotation.  They are
+    built once per fractional sector offset of the rotation (see
+    :meth:`split_rotation`); whole sectors of rotation are a roll of the
+    radii.
     """
 
-    def __init__(self, center, dims, k, reach):
+    def __init__(self, center, dims, k, extent):
         width, height = int(dims[0]), int(dims[1])
         if width <= 0 or height <= 0:
             raise ValueError("canvas dims must be positive")
         if k < 3:
             raise ValueError("k must be at least 3")
         cx, cy = float(center[0]), float(center[1])
-        reach = float(reach)
+        reach = float(extent) + REACH_MARGIN
 
         x0 = max(int(np.floor(cx - reach)) - 1, 0)
         x1 = min(int(np.ceil(cx + reach)) + 1, width)
@@ -95,14 +97,14 @@ class RadialGrid:
         dist = d[keep]
         phi = np.arctan2(dy[keep], dx[keep])
         phi = np.where(phi < 0.0, phi + TWO_PI, phi)
-        order = np.lexsort((flat_index, dist))
+        # np.nonzero is row-major, so flat_index is ascending and a stable
+        # sort breaks distance ties by flat index
+        order = np.argsort(dist, kind="stable")
         self.flat_index = flat_index[order]
         self.dist = dist[order]
         self._phi = phi[order]
 
-        self.center = (cx, cy)
         self.dims = (width, height)
-        self.reach = reach
         self.k = int(k)
         self.sector = TWO_PI / self.k
         self._sin_sector = np.sin(self.sector)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput
-from .geometry import REACH_MARGIN, RadialGrid
+from .geometry import RadialGrid
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,8 @@ def rasterize(radii, centroid, alignment, dims):
     if np.any(radii <= 0):
         raise ValueError("radii must be strictly positive")
     width, height = int(dims[0]), int(dims[1])
-    reach = alignment.r * float(radii.max()) + REACH_MARGIN
-    grid = RadialGrid(centroid, (width, height), radii.size, reach)
+    grid = RadialGrid(centroid, (width, height), radii.size,
+                      alignment.r * float(radii.max()))
     mask = grid.mask(radii, alignment.r, alignment.theta)
     return mask.reshape(height, width)
 

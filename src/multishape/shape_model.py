@@ -30,6 +30,8 @@ DEFAULT_VARIANCE_THRESHOLD = 0.995
 RADIUS_FLOOR = 1.0
 COEFF_SIGMA_BOX = 3.0
 RAY_STEP = 0.5
+# largest |B^T B - I| entry a loaded basis may have (saved ones: ~1e-15)
+ORTHONORMAL_TOL = 1e-8
 
 MODEL_JSON_KEYS = {
     "k", "t", "mean", "eigenvalues", "basis", "variance_fraction", "weights",
@@ -96,9 +98,9 @@ class ShapeModel:
         return COEFF_SIGMA_BOX * np.sqrt(self.eigenvalues)
 
     def max_radius_bound(self):
-        """Upper bound on any radius this model can synthesize."""
+        """Largest radius this model can synthesize, the floor included."""
         spread = np.abs(self.basis) @ self.coefficient_bounds()
-        return float(np.max(self.mean + spread))
+        return max(float(np.max(self.mean + spread)), RADIUS_FLOOR)
 
 
 def sample_shape_vector(mask, centroid, k=DEFAULT_K):
@@ -275,6 +277,8 @@ def load_model(path):
             raise DatasetIOError(f"{path}: non-finite value in model {name}")
     if np.any(eigenvalues <= 0):
         raise DatasetIOError(f"{path}: non-positive model eigenvalues")
+    if np.any(np.abs(basis.T @ basis - np.eye(t)) > ORTHONORMAL_TOL):
+        raise DatasetIOError(f"{path}: model basis columns are not orthonormal")
     weights = field("weights", _float_array)
     return ShapeModel(
         mean=mean,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import multishape as ms
-from multishape.cli import main
+from multishape.cli import _fail, main
 
 SMALL_ARGS = [
     "--generator.n_objects", "2,2",
@@ -206,6 +206,10 @@ class TestMalformedFiles:
             {**doc, "weights": ["heavy"] + doc["weights"][1:]}),
         "list_variance_fraction": lambda doc: json.dumps(
             {**doc, "variance_fraction": [0.5]}),
+        # one basis column scaled by 3: finite, but not orthonormal
+        "scaled_basis": lambda doc: json.dumps(
+            {**doc, "basis": [[3.0 * v for v in doc["basis"][0]]]
+             + doc["basis"][1:]}),
     }
 
     @staticmethod
@@ -241,6 +245,27 @@ class TestMalformedFiles:
         # a bad value names its field
         field = case.rpartition("_")[2]
         assert field == "json" or field in err
+
+
+def error_types():
+    """Every package error class, the base included."""
+    return sorted((cls for cls in vars(ms.errors).values()
+                   if isinstance(cls, type)
+                   and issubclass(cls, ms.MultishapeError)),
+                  key=lambda cls: cls.__name__)
+
+
+class TestFail:
+    """``cli._fail`` maps I/O errors to exit 3 and all others to exit 2."""
+
+    @pytest.mark.parametrize("error", error_types() + [OSError],
+                             ids=lambda cls: cls.__name__)
+    def test_exit_code_and_category(self, capsys, error):
+        io = error in (ms.DatasetIOError, OSError)
+        assert _fail(error("boom"), "scene_0001: ") == (3 if io else 2)
+        category = "io" if io else "config"
+        assert capsys.readouterr().err \
+            == f"error:{category}: scene_0001: boom\n"
 
 
 class TestSegment:

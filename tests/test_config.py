@@ -65,7 +65,42 @@ def test_shared_keys_reach_every_section():
     assert cfg.learning.variance_threshold == 0.9
 
 
-REMOVED_KEYS = ["evolution.rng_seed", "evolution.alignment_refresh_period"]
+def test_schema_keys_pinned():
+    # a new configuration key must be added here on purpose
+    assert schema_keys() == [
+        "energy_threshold_fraction",
+        "evolution.exact_fd_hessian",
+        "evolution.max_outer_iterations",
+        "generator.base_radius",
+        "generator.boundary_noise_amplitude",
+        "generator.canvas",
+        "generator.centroid_spacing",
+        "generator.eccentricity",
+        "generator.n_objects",
+        "generator.seed",
+        "grid.r_max",
+        "grid.r_min",
+        "grid.r_step",
+        "grid.theta_count",
+        "k",
+        "learning.max_cycles",
+        "learning.max_outer_iterations",
+        "learning.max_tries_per_example",
+        "learning.step",
+        "variance_threshold",
+    ]
+
+
+REMOVED_KEYS = [
+    "evolution.rng_seed",
+    "evolution.alignment_refresh_period",
+    "evolution.fd_step",
+    "evolution.initial_trust_radius",
+    "evolution.min_trust_radius",
+    "evolution.max_trust_radius",
+    "evolution.shrink_ratio_threshold",
+    "evolution.grow_ratio_threshold",
+]
 
 
 @pytest.mark.parametrize("key", REMOVED_KEYS)

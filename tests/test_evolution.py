@@ -122,16 +122,16 @@ class TestProbeTable:
     def test_matches_energy(self, tiny_model, tiny_dataset, mult):
         # every +-h entry of the batched table equals the reference energy
         cfg = ms.EvolutionConfig(max_outer_iterations=3)
-        h = mult * cfg.fd_step
+        h = mult * ms.evolution.FD_STEP
         t = tiny_model.t
         for scene in tiny_dataset[:4]:
             masks, state = ms.evolve(scene, tiny_model, cfg)
             engine = ms.evolution._SceneEngine(scene, tiny_model, cfg)
             x = state.x.reshape(scene.n_objects, t)
+            c = x / engine.sqrt_ev
             # evolve returns the masks at state.x
             fit = ms.evolution._Fit(
-                c=x / engine.sqrt_ev,
-                x=x,
+                c=c,
                 radii=tuple(ms.synthesize(tiny_model, row) for row in x),
                 alignments=tuple(state.alignments),
                 masks=tuple(m.reshape(-1) for m in masks),
@@ -140,8 +140,12 @@ class TestProbeTable:
             for i in range(scene.n_objects):
                 for j in range(t):
                     for col, sign in ((2 * j, 1.0), (2 * j + 1, -1.0)):
+                        # the probed object moves in normalized units; the
+                        # others stay where their masks were drawn
+                        moved = c[i].copy()
+                        moved[j] += sign * h
                         probe = x.copy()
-                        probe[i, j] += sign * h * engine.sqrt_ev[j]
+                        probe[i] = engine.raw_from_normalized(moved)
                         expected = ms.energy(scene, tiny_model,
                                              probe.reshape(-1),
                                              state.alignments)
@@ -165,8 +169,9 @@ class TestRevise:
         for moved, changed in ((reshaped, 1), (realigned, 2)):
             for i in range(scene.n_objects):
                 assert (moved.masks[i] is fit.masks[i]) == (i != changed)
+            x = engine.raw_from_normalized(moved.c)
             assert moved.energy == ms.energy(scene, tiny_model,
-                                             moved.x.reshape(-1),
+                                             x.reshape(-1),
                                              list(moved.alignments))
         assert [r is f for r, f in zip(reshaped.radii, fit.radii)] \
             == [True, False, True]
@@ -196,7 +201,7 @@ class TestPlateauWalk:
         assert step_scale == 0.0
         assert fit.alignments == aligned.alignments
         assert fit.energy == aligned.energy
-        assert np.array_equal(fit.x, off.x)
+        assert np.array_equal(fit.c, off.c)
 
 
 class TestGoldenTrace:
@@ -445,7 +450,8 @@ class TestEvolve:
         # steps stay inside the trust region; plateau-walk rows are bounded
         # by the coarsest probe scale instead
         for row in state.trace:
-            assert row.step_norm <= max(row.delta, 4 * cfg.fd_step) + 1e-9
+            assert row.step_norm <= max(row.delta,
+                                        4 * ms.evolution.FD_STEP) + 1e-9
         # coefficient box
         bounds = np.tile(tiny_model.coefficient_bounds(), scene.n_objects)
         assert np.all(np.abs(state.x) <= bounds + 1e-12)
@@ -478,7 +484,6 @@ class TestEvolve:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            ms.EvolutionConfig(fd_step=0.0)
+            ms.EvolutionConfig(energy_threshold_fraction=0.0)
         with pytest.raises(ValueError):
-            ms.EvolutionConfig(shrink_ratio_threshold=0.9,
-                               grow_ratio_threshold=0.5)
+            ms.EvolutionConfig(max_outer_iterations=0)

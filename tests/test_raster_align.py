@@ -87,6 +87,14 @@ class TestRadialGrid:
             assert np.array_equal(grid.q_values(radii, theta), rolled)
             assert s == 0 or not np.array_equal(rolled, base)
 
+    def test_distance_ties_in_flat_order(self):
+        # a center on a pixel corner puts four pixels at every distance
+        grid = ms.geometry.RadialGrid((20.0, 20.0), (40, 40), 36, 12.0)
+        same = np.diff(grid.dist) == 0
+        assert np.count_nonzero(same) > 100
+        assert np.all(np.diff(grid.dist) >= 0)
+        assert np.all(np.diff(grid.flat_index)[same] > 0)
+
     @pytest.mark.parametrize("k, theta_count", [(360, 72), (48, 72),
                                                 (37, 8), (36, 8)])
     def test_one_table_per_fractional_offset(self, k, theta_count):
@@ -249,6 +257,26 @@ class TestAlign:
                 radii, center, clump, config.r_values(),
                 config.theta_values(), ms.rasterize, ms.Alignment), f"k={k}"
 
+    def test_neighbors_order(self):
+        clump = disk_mask((48, 48), (24.0, 24.0), 14.0)
+        config = ms.GridSearchConfig(r_min=0.5, r_max=1.0, r_step=0.25,
+                                     theta_count=4)
+        searcher = ms.AlignmentSearcher((24.0, 24.0), clump, 36, config)
+        rs, thetas = config.r_values(), config.theta_values()
+
+        def pairs(alignment):
+            return [(a.r, a.theta) for a in searcher.neighbors(alignment)]
+
+        # larger scale, smaller scale, next rotation, previous rotation
+        assert pairs(ms.Alignment(r=rs[1], theta=thetas[1])) == [
+            (rs[2], thetas[1]), (rs[0], thetas[1]),
+            (rs[1], thetas[2]), (rs[1], thetas[0])]
+        # no scale step past either end; rotations wrap around
+        assert pairs(ms.Alignment(r=rs[0], theta=thetas[0])) == [
+            (rs[1], thetas[0]), (rs[0], thetas[1]), (rs[0], thetas[3])]
+        assert pairs(ms.Alignment(r=rs[2], theta=thetas[3])) == [
+            (rs[1], thetas[3]), (rs[2], thetas[0]), (rs[2], thetas[2])]
+
     def test_centroid_outside_clump(self):
         clump = disk_mask((32, 32), (16.0, 16.0), 5.0)
         with pytest.raises(ms.CentroidOutsideMask):
@@ -286,6 +314,13 @@ class TestNetpbm:
         path = tmp_path / "m.pgm"
         path.write_bytes(b"P5\n" + size + b"\n255\n")
         with pytest.raises(ms.DatasetIOError):
+            ms.read_pgm(path)
+
+    def test_oversized_header(self, tmp_path):
+        # the header promises 1.6e19 pixels; nothing that large is allocated
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P5\n4000000000 4000000000\n255\n")
+        with pytest.raises(ms.DatasetIOError, match="truncated raster"):
             ms.read_pgm(path)
 
     def test_ppm_write(self, tmp_path):
