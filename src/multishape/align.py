@@ -12,8 +12,32 @@ fraction of the brute-force cost.
 Every grid rotation is a whole-sector roll of the radii against one of the
 grid's few rotation-free tables (see :mod:`multishape.geometry`), so a
 search stacks the T rolled radii vectors and evaluates all rotations
-together: one (T, pixels) batch per chunk of background pixels for the
-feasibility scan, then per block of grid pixels for the area count.
+together, in (rotations, pixels) batches.
+
+Three certificates keep the search exact while evaluating only the pixels
+and rotations that can matter:
+
+1. **Settled rotations leave the background scan.**  The feasible scales of
+   rotation t are the grid scales below its minimum q over background
+   pixels.  Since q >= d / max(radii), background pixels beyond
+   ``min(min_t, r_max) * max(radii)`` plus the reach margin have q above
+   the running minimum or above every grid scale, so once the outward scan
+   passes that distance the rotation's feasible scales are final.
+2. **Only the annulus of the top rotations is counted.**  The rotations
+   whose largest feasible scale r is the largest of all share r.  Since
+   q <= d / (min(radii) * cos(pi/K)), pixels within
+   ``r * min(radii) * cos(pi/K)`` (less a rounding margin) are inside at
+   every rotation, and pixels past the reach of r are outside, so one
+   ``searchsorted`` counts the core and only the annulus between is
+   evaluated.
+3. **Lower-scale rotations are pruned by a sector bound.**  A rotation
+   whose largest feasible scale is smaller loses every tie against a top
+   rotation (equal areas go to the larger scale), so it can win only with a
+   strictly larger area.  A pixel of sector m is inside at scale r only if
+   d <= r * max(radii[m], radii[m + 1]), so per-sector cumulative distance
+   counts give an upper bound on its area in O(K).  Rotations whose bound
+   does not exceed the best top area cannot win and are skipped; the rest
+   are counted exactly, in one batch, over their annulus.
 """
 
 from __future__ import annotations
@@ -106,55 +130,86 @@ class AlignmentSearcher:
                 for step in (1, -1)]
         return out
 
-    def _rotated_q(self, stack, index):
-        """``(rows, q)`` per table offset: the rotations sharing it and
-        their containment values at ``index``, one row per rotation."""
+    def _groups(self, selected):
+        """``(base, rows)`` per table offset: the ``selected`` rotations
+        sharing it, skipping offsets with none."""
         for base, rows in self._offset_rows:
+            rows = rows[selected[rows]]
+            if rows.size:
+                yield base, rows
+
+    def _rotated_q(self, stack, selected, index):
+        """``(rows, q)`` per table offset: the ``selected`` rotations sharing
+        it and their containment values at ``index``, one row per rotation."""
+        for base, rows in self._groups(selected):
             yield rows, self.grid.q_values(stack[rows], base, index)
 
     def _background_min(self, stack, max_s, cap):
         """Certified per-rotation minimum containment value over background.
 
-        Background pixels are scanned outward in growing chunks, all
-        rotations at once; once the remaining pixels are provably farther
-        than every rotation's running minimum (or the largest scale of
-        interest) can reach, they cannot change any comparison against the
-        scale grid and the scan stops.  A rotation whose minimum exceeds
-        ``cap`` may see it lowered by pixels scanned for other rotations,
-        but never to ``cap`` or below, so its feasible scales are exact.
+        Background pixels are scanned outward in growing chunks.  Rotation t
+        is settled once the scan passes ``reach_stop(min(min_t, cap) *
+        max_s)``: farther pixels have q above its running minimum ``min_t``
+        or above ``cap``, the largest scale of interest, so they can change
+        no comparison against the scale grid.  Settled rotations drop out of
+        the batch and the scan stops when every rotation has settled.  A
+        minimum above ``cap`` is not exact, but it stays above ``cap``.
         """
         positions = self._bg_positions
         total = positions.size
         minimum = np.full(stack.shape[0], np.inf)
         start = 0
-        chunk = 1024
+        chunk = 256
         while start < total:
-            bound = min(float(minimum.max()), cap)
-            if positions[start] >= self.grid.reach_stop(bound * max_s):
+            limit = self.grid.reach_stop(np.minimum(minimum, cap) * max_s)
+            active = limit > positions[start]
+            if not active.any():
                 break
-            stop = min(total, start + chunk)
-            for rows, q in self._rotated_q(stack, positions[start:stop]):
+            stop = min(total, start + chunk,
+                       int(np.searchsorted(positions, limit.max())))
+            for rows, q in self._rotated_q(stack, active,
+                                           positions[start:stop]):
                 minimum[rows] = np.minimum(minimum[rows], q.min(axis=1))
             start = stop
             chunk = min(4 * chunk, MAX_CHUNK)
         return minimum
 
-    def _inside_counts(self, stack, r, stop, where=None):
-        """Per-rotation count of the first ``stop`` grid pixels inside.
+    def _inside_counts(self, stack, selected, r, lo, hi, where=None):
+        """Per-rotation count of grid pixels ``lo:hi`` inside at scale ``r``.
 
-        ``r`` holds one scale per rotation.  Pixels past a rotation's own
-        reach have q > r, so scanning to the largest reach adds nothing.
-        ``where`` restricts the count to a subset of the grid pixels.
+        ``r`` holds one scale per rotation; only ``selected`` rotations are
+        counted, the others read 0.  ``where`` restricts the count to a
+        subset of the grid pixels.
         """
         counts = np.zeros(stack.shape[0], dtype=np.int64)
-        for start in range(0, stop, MAX_CHUNK):
-            block = slice(start, min(stop, start + MAX_CHUNK))
-            for rows, q in self._rotated_q(stack, block):
+        for start in range(lo, hi, MAX_CHUNK):
+            block = slice(start, min(hi, start + MAX_CHUNK))
+            for rows, q in self._rotated_q(stack, selected, block):
                 inside = q <= r[rows, None]
                 if where is not None:
                     inside &= where[block]
                 counts[rows] += np.count_nonzero(inside, axis=1)
         return counts
+
+    def _areas(self, stack, selected, r, min_s, max_s):
+        """Exact areas of the ``selected`` rotations at their scales ``r``;
+        the entries of the other rotations are meaningless.
+
+        Pixels before the core stop of the smallest selected scale are
+        inside at every rotation and pixels past the reach of the largest
+        are outside, so only the annulus between them is evaluated.
+        """
+        lo = int(self.grid.core_stop(float(r[selected].min()) * min_s))
+        hi = int(self.grid.reach_stop(float(r[selected].max()) * max_s))
+        return lo + self._inside_counts(stack, selected, r, lo, hi)
+
+    def _area_bounds(self, stack, selected, r):
+        """Upper bounds on the areas of the ``selected`` rotations at ``r``;
+        the other rotations read 0."""
+        bounds = np.zeros(stack.shape[0], dtype=np.int64)
+        for base, rows in self._groups(selected):
+            bounds[rows] = self.grid.area_bound(stack[rows], r[rows], base)
+        return bounds
 
     def search(self, radii):
         """Best alignment for one radii vector, with deterministic ties.
@@ -166,6 +221,18 @@ class AlignmentSearcher:
         returns the one with the fewest outside pixels (ties: smaller
         scale, then smaller rotation).  All rotations are evaluated
         together as rolls of ``radii``.
+
+        Three certificates prune the work without changing the result:
+
+        - the background scan retires a rotation once no farther pixel can
+          change its feasible scales (see :meth:`_background_min`);
+        - the rotations at the largest feasible scale are counted only over
+          the annulus between the pixels inside at every rotation and the
+          reach of that scale (:meth:`RadialGrid.core_stop`);
+        - a rotation at a smaller scale beats them only with a strictly
+          larger area, since equal areas go to the larger scale, so it is
+          counted only if its sector bound (:meth:`RadialGrid.area_bound`)
+          exceeds their best area.
         """
         radii = np.asarray(radii, dtype=np.float64)
         if radii.size != self.grid.k:
@@ -178,23 +245,36 @@ class AlignmentSearcher:
         min_bg = self._background_min(stack, max_s, float(rs[-1]))
         # number of scales strictly below each rotation's background minimum
         n_feasible = np.searchsorted(rs, min_bg, side="left")
-        feasible = np.flatnonzero(n_feasible)
-        if feasible.size:
-            # infeasible rotations get rs[0]; their counts are never read
-            r = rs[np.maximum(n_feasible, 1) - 1]
-            stop = self.grid.reach_stop(float(r[feasible].max()) * max_s)
-            area = self._inside_counts(stack, r, stop)
-            # largest area, then larger scale; lexsort is stable, so the
-            # smaller rotation wins the remaining ties
-            order = np.lexsort((-n_feasible[feasible], -area[feasible]))
-            best = feasible[order[0]]
-            return Alignment(r=float(r[best]),
+        top = n_feasible.max()
+        if top == 0:
+            every = np.ones(stack.shape[0], dtype=bool)
+            r0 = np.full(stack.shape[0], rs[0])
+            stop = int(self.grid.reach_stop(float(rs[0]) * max_s))
+            outside = self._inside_counts(stack, every, r0, 0, stop,
+                                          self._background)
+            best = np.argmin(outside)
+            return Alignment(r=float(rs[0]),
                              theta=float(self._theta_values[best]))
-        r0 = np.full(stack.shape[0], rs[0])
-        stop = self.grid.reach_stop(float(rs[0]) * max_s)
-        outside = self._inside_counts(stack, r0, stop, self._background)
-        return Alignment(r=float(rs[0]),
-                         theta=float(self._theta_values[np.argmin(outside)]))
+        min_s = float(radii.min())
+        # infeasible rotations get rs[0]; they are never counted
+        r = rs[np.maximum(n_feasible, 1) - 1]
+        counted = n_feasible == top
+        area = self._areas(stack, counted, r, min_s, max_s)
+        lower = (n_feasible > 0) & ~counted
+        if lower.any():
+            contenders = lower & (self._area_bounds(stack, lower, r)
+                                  > area[counted].max())
+            if contenders.any():
+                area[contenders] = self._areas(stack, contenders, r, min_s,
+                                               max_s)[contenders]
+                counted |= contenders
+        candidates = np.flatnonzero(counted)
+        # largest area, then larger scale; lexsort is stable, so the
+        # smaller rotation wins the remaining ties
+        order = np.lexsort((-n_feasible[candidates], -area[candidates]))
+        best = candidates[order[0]]
+        return Alignment(r=float(r[best]),
+                         theta=float(self._theta_values[best]))
 
 
 def align(radii, centroid, clump, config=None):

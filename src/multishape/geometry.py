@@ -35,6 +35,19 @@ tables, a single one whenever T divides K.
 The reach cut followed by the test q <= r is the package's single
 containment rule, :meth:`RadialGrid.inside`.  Rasterization, the evolution
 energy and its probes, and the alignment search's area count all use it.
+
+Two more bounds on q let the alignment search skip work without changing a
+single comparison.  With u the pixel's angular offset from its sector's
+first edge (so a = sin(u) and b = sin(S - u) for the sector width
+S = 2*pi/K), A + B = d * cos(u - S/2) / cos(S/2), which lies between d and
+d / cos(pi/K).  Hence
+
+    d / max(r[m], r[m + 1])  <=  q  <=  d / (min(radii) * cos(pi/K)),
+
+so pixels within r * min(radii) * cos(pi/K) are inside at every rotation
+(:meth:`RadialGrid.core_stop`), and a pixel of sector m can only be inside
+at scale r when d <= r * max(r[m], r[m + 1]), which per-sector distance
+counts turn into an upper bound on the area (:meth:`RadialGrid.area_bound`).
 """
 
 from __future__ import annotations
@@ -48,6 +61,14 @@ TWO_PI = 2.0 * np.pi
 # Pixels farther than scale * max(radii) + REACH_MARGIN from the center can
 # never satisfy q <= scale; the margin absorbs floating-point rounding.
 REACH_MARGIN = 2.0
+
+# Distance slack of the two bounds of q above.  Computed q deviates from the
+# exact value by ~1e-14 relative (amplified by 1/sin(2*pi/K) through the
+# angle), far below this margin at any canvas size in use.
+BOUND_MARGIN = 1e-6
+
+# Distance bin width of the per-sector pixel counts behind area_bound.
+SECTOR_BIN = 1.0
 
 # Resolution of a rotation's fractional sector offset.  A power of two, so
 # snapping is exact; coarse enough that every theta of one exact offset,
@@ -108,7 +129,9 @@ class RadialGrid:
         self.k = int(k)
         self.sector = TWO_PI / self.k
         self._sin_sector = np.sin(self.sector)
+        self._cos_half_sector = np.cos(0.5 * self.sector)
         self._tables: dict[float, tuple] = {}
+        self._counts: dict[float, np.ndarray] = {}
 
     @property
     def size(self):
@@ -165,7 +188,9 @@ class RadialGrid:
                 f"radii length {radii.shape[-1]} does not match grid k={self.k}")
         shift, base = self.split_rotation(theta)
         m, m_next, coef_a, coef_b = self._sector_table(base)
-        inv = np.roll(1.0 / radii, shift, axis=-1)
+        inv = 1.0 / radii
+        if shift:
+            inv = np.roll(inv, shift, axis=-1)
         inv = np.concatenate([inv, inv[..., :1]], axis=-1)
         q = np.take(inv, m_next[index], axis=-1)
         q *= coef_a[index]
@@ -188,9 +213,67 @@ class RadialGrid:
         return stop, self.q_values(radii, theta, slice(0, stop)) <= r
 
     def reach_stop(self, extent):
-        """Number of grid pixels within ``extent + REACH_MARGIN``."""
-        return int(np.searchsorted(self.dist, extent + REACH_MARGIN,
-                                   side="right"))
+        """Number of grid pixels within ``extent + REACH_MARGIN``.
+
+        Elementwise for an array of extents.
+        """
+        return np.searchsorted(self.dist, np.add(extent, REACH_MARGIN),
+                               side="right")
+
+    def core_stop(self, extent):
+        """Number of leading grid pixels inside at every rotation.
+
+        ``extent`` is the scale times ``min(radii)``.  Every pixel within
+        ``extent * cos(pi/K)`` satisfies q <= scale whatever the rotation,
+        so the first ``core_stop`` pixels are inside without evaluation.
+        """
+        return np.searchsorted(
+            self.dist, extent * self._cos_half_sector - BOUND_MARGIN,
+            side="right")
+
+    def _sector_counts(self, base):
+        """Cumulative pixel counts per sector at offset ``base``, flattened.
+
+        Entry ``m * cols + j`` counts the pixels of sector m whose distance
+        bin ``floor(dist / SECTOR_BIN)`` is below j, for j < cols.  int32
+        keeps the (K, cols) array small.
+        """
+        counts = self._counts.get(base)
+        if counts is None:
+            m = self._sector_table(base)[0]
+            # truncation is floor: distances are non-negative
+            bins = (self.dist / SECTOR_BIN).astype(np.intp)
+            n_bins = int(bins[-1]) + 1 if bins.size else 1
+            per_bin = np.bincount(m * n_bins + bins,
+                                  minlength=self.k * n_bins)
+            counts = np.zeros((self.k, n_bins + 1), dtype=np.int32)
+            np.cumsum(per_bin.reshape(self.k, n_bins), axis=1,
+                      out=counts[:, 1:])
+            counts = counts.reshape(-1)
+            self._counts[base] = counts
+        return counts
+
+    def area_bound(self, radii, r, base):
+        """Upper bound on the number of grid pixels inside, row by row.
+
+        ``radii`` is an (n, k) batch already rolled to its rotation's whole
+        sectors, ``r`` holds one scale per row, and ``base`` is the rotation's
+        fractional offset.  A pixel of sector m is inside at scale r only if
+        its distance is at most ``r * max(radii[m], radii[m + 1])``; every
+        pixel of sector m up to that distance's bin is counted.
+        """
+        counts = self._sector_counts(base)
+        cols = counts.size // self.k
+        ring = np.concatenate([radii, radii[:, :1]], axis=-1)
+        reach = np.maximum(ring[:, :-1], ring[:, 1:])
+        reach *= np.asarray(r)[:, None]
+        reach += BOUND_MARGIN
+        # the bin index of reach, plus one: bins up to and including it
+        j = (reach / SECTOR_BIN).astype(np.intp)
+        j += 1
+        np.minimum(j, cols - 1, out=j)
+        j += cols * np.arange(self.k)
+        return np.take(counts, j).sum(axis=1)
 
     def mask(self, radii, r, theta):
         """Flat canvas mask of the shape at scale ``r``, rotation ``theta``."""

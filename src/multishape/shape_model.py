@@ -106,10 +106,11 @@ class ShapeModel:
 def sample_shape_vector(mask, centroid, k=DEFAULT_K):
     """Sample the radial shape vector of a mask about a centroid.
 
-    Walks each of the k rays in half-pixel steps until it leaves the canvas
-    and records the distance of the farthest foreground sample, i.e. the
-    outermost foreground-to-background transition.  Every returned entry is
-    strictly positive.
+    Walks each of the k rays in half-pixel steps until it passes the mask's
+    bounding-box corner farthest from the centroid, beyond which no sample
+    can hit foreground, and records the distance of the farthest foreground
+    sample, i.e. the outermost foreground-to-background transition.  Every
+    returned entry is strictly positive.
     """
     mask = np.asarray(mask, dtype=bool)
     if k < 3:
@@ -121,7 +122,15 @@ def sample_shape_vector(mask, centroid, k=DEFAULT_K):
         raise CentroidOutsideMask(f"centroid ({cx}, {cy}) is not on foreground")
 
     angles = TWO_PI * np.arange(k) / k
-    steps = np.arange(1, int(np.ceil(np.hypot(width, height) / RAY_STEP)) + 1)
+    cols = np.flatnonzero(mask.any(axis=0))
+    rows = np.flatnonzero(mask.any(axis=1))
+    far = np.hypot(max(cx - cols[0], cols[-1] + 1 - cx),
+                   max(cy - rows[0], rows[-1] + 1 - cy))
+    # samples past the farthest box corner cannot hit foreground; that
+    # corner is never farther than the canvas diagonal
+    count = min(np.ceil(far / RAY_STEP),
+                np.ceil(np.hypot(width, height) / RAY_STEP))
+    steps = np.arange(1, int(count) + 1)
     t = RAY_STEP * steps
     x = cx + np.cos(angles)[:, None] * t[None, :]
     y = cy + np.sin(angles)[:, None] * t[None, :]
@@ -270,7 +279,7 @@ def load_model(path):
     eigenvalues = field("eigenvalues", _float_array)
     k, t = field("k", int), field("t", int)
     if mean.shape != (k,) or basis.shape != (k, t) or eigenvalues.shape != (t,):
-        raise DimensionMismatch("model field shapes are inconsistent")
+        raise DatasetIOError(f"{path}: model field shapes are inconsistent")
     for name, values in (("mean", mean), ("basis", basis),
                          ("eigenvalues", eigenvalues)):
         if not np.all(np.isfinite(values)):

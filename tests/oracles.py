@@ -129,6 +129,23 @@ def ray_rectangle_exit(cx, cy, angle, x_lo, x_hi, y_lo, y_hi):
     return best
 
 
+def full_ray_walk(mask, centroid, k, step):
+    """Outermost foreground sample of each of k rays, walked to the canvas
+    diagonal sample by sample, with no early stop."""
+    height, width = mask.shape
+    angles = TWO_PI * np.arange(k) / k
+    cos, sin = np.cos(angles), np.sin(angles)
+    t = step * np.arange(1, int(np.ceil(np.hypot(width, height) / step)) + 1)
+    radii = np.zeros(k)
+    for i in range(k):
+        xs = np.floor(centroid[0] + cos[i] * t)
+        ys = np.floor(centroid[1] + sin[i] * t)
+        for tj, x, y in zip(t, xs, ys):
+            if 0 <= x < width and 0 <= y < height and mask[int(y), int(x)]:
+                radii[i] = tj
+    return radii
+
+
 def brute_force_align(radii, centroid, clump, r_values, theta_values,
                       rasterize_fn, alignment_cls):
     """Reference grid search evaluating every candidate by rasterization."""

@@ -200,6 +200,9 @@ class TestMalformedFiles:
             {**doc, "mean": ["wide"] + doc["mean"][1:]}),
         "ragged_basis": lambda doc: json.dumps(
             {**doc, "basis": doc["basis"] + [doc["basis"][0][:-1]]}),
+        # fields that disagree in shape with each other
+        "empty_shapes": lambda doc: json.dumps(
+            {**doc, "t": 0, "basis": [], "eigenvalues": []}),
         "text_k": lambda doc: json.dumps({**doc, "k": "abc"}),
         "text_t": lambda doc: json.dumps({**doc, "t": "abc"}),
         "text_weights": lambda doc: json.dumps(

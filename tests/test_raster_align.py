@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import multishape as ms
 from conftest import disk_mask, ellipse_mask
@@ -111,6 +112,48 @@ class TestRadialGrid:
             k, theta_count)
 
 
+BOUND_CASES = [(36, 8), (37, 8), (48, 72), (360, 72)]
+
+
+def bound_radii(k):
+    """A disk, a mild ripple and a ragged shape, each of length k."""
+    rng = np.random.default_rng(k)
+    angles = 2 * np.pi * np.arange(k) / k
+    return [np.full(k, 9.0),
+            9.0 * (1.0 + 0.2 * np.cos(3 * angles + 0.4)),
+            rng.uniform(4.0, 12.0, size=k)]
+
+
+class TestSearchBounds:
+    """The two certificates behind the pruned alignment search."""
+
+    @pytest.mark.parametrize("k, theta_count", BOUND_CASES)
+    def test_sector_bound_covers_exact_area(self, k, theta_count):
+        grid = ms.geometry.RadialGrid((30.3, 29.6), (60, 60), k, 26.0)
+        config = ms.GridSearchConfig(theta_count=theta_count)
+        rs = config.r_values()
+        for radii in bound_radii(k):
+            for theta in config.theta_values():
+                shift, base = grid.split_rotation(theta)
+                rolled = np.repeat(np.roll(radii, shift)[None, :], rs.size, 0)
+                bound = grid.area_bound(rolled, rs, base)
+                exact = np.count_nonzero(
+                    grid.q_values(radii, theta) <= rs[:, None], axis=1)
+                assert np.all(bound >= exact), f"theta={theta}"
+
+    @pytest.mark.parametrize("k, theta_count", BOUND_CASES)
+    def test_core_is_inside_at_every_rotation(self, k, theta_count):
+        grid = ms.geometry.RadialGrid((30.3, 29.6), (60, 60), k, 26.0)
+        config = ms.GridSearchConfig(theta_count=theta_count)
+        for radii in bound_radii(k):
+            for r in config.r_values():
+                core = int(grid.core_stop(r * radii.min()))
+                assert core > 0
+                for theta in config.theta_values():
+                    q = grid.q_values(radii, theta, slice(0, core))
+                    assert np.all(q <= r), f"r={r} theta={theta}"
+
+
 class TestUnion:
     def test_idempotent(self):
         m = disk_mask((32, 32), (16, 16), 6)
@@ -192,6 +235,59 @@ class TestAlign:
                                              theta_values, ms.rasterize,
                                              ms.Alignment)
                 assert got == expected, f"k={k} trial {trial}"
+
+    def test_winner_below_largest_feasible_scale(self):
+        # small shapes on a fine scale grid: a rotation that fits only at
+        # a smaller scale can still cover the most pixels
+        below = 0
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            k = int(rng.choice([12, 36, 37]))
+            config = ms.GridSearchConfig(r_min=0.5, r_max=2.0, r_step=0.01,
+                                         theta_count=int(rng.choice([8, 12])))
+            center = (12.0 + rng.uniform(-0.5, 0.5),
+                      12.0 + rng.uniform(-0.5, 0.5))
+            clump = ellipse_mask((24, 24), center, rng.uniform(3, 7),
+                                 rng.uniform(2, 5),
+                                 rotation=rng.uniform(0, np.pi))
+            radii = rng.uniform(1.5, 4.0, size=k)
+            got = ms.align(radii, center, clump, config)
+            assert got == brute_force_align(
+                radii, center, clump, config.r_values(),
+                config.theta_values(), ms.rasterize, ms.Alignment), seed
+            # feasibility is a prefix of the scales, so some rotation fits
+            # above the winner's scale iff one fits at the next scale up
+            rs = config.r_values()
+            above = rs[rs > got.r + 1e-9]
+            below += above.size > 0 and any(
+                not np.any(ms.rasterize(radii, center,
+                                        ms.Alignment(float(above[0]), theta),
+                                        (24, 24)) & ~clump)
+                for theta in config.theta_values())
+        assert below >= 2
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(radii=st.lists(st.floats(1.0, 9.0), min_size=5, max_size=40),
+           axes=st.tuples(st.floats(1.0, 14.0), st.floats(1.0, 14.0)),
+           tilt=st.floats(0.0, np.pi),
+           offset=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+           r_min=st.floats(0.3, 1.0),
+           n_scales=st.integers(1, 6),
+           r_step=st.sampled_from([0.02, 0.1, 0.25]),
+           theta_count=st.integers(1, 12))
+    def test_search_matches_brute_force_property(
+            self, radii, axes, tilt, offset, r_min, n_scales, r_step,
+            theta_count):
+        radii = np.asarray(radii)
+        center = (16.0 + offset[0], 16.0 + offset[1])
+        clump = ellipse_mask((32, 32), center, axes[0], axes[1], tilt)
+        config = ms.GridSearchConfig(
+            r_min=r_min, r_max=r_min + r_step * (n_scales - 0.5),
+            r_step=r_step, theta_count=theta_count)
+        assert ms.align(radii, center, clump, config) == brute_force_align(
+            radii, center, clump, config.r_values(), config.theta_values(),
+            ms.rasterize, ms.Alignment)
 
     def test_equal_area_prefers_larger_scale(self):
         # only the centroid pixel fits; rotations with an edge (not a

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import multishape as ms
-from conftest import disk_family_examples, disk_mask
-from oracles import ray_rectangle_exit
+from conftest import disk_family_examples, disk_mask, ellipse_mask
+from oracles import full_ray_walk, ray_rectangle_exit
 
 
 def example_set(rows, weights=None, step=0.1):
@@ -46,6 +46,30 @@ class TestSampling:
         mask[8, 8] = True
         with pytest.raises(ms.DegenerateMask):
             ms.sample_shape_vector(mask, (8.5, 8.5), 8)
+
+    # (mask, centroid) pairs whose rays end in awkward places
+    WALK_CASES = {
+        "top_left_edges": lambda dims: (disk_mask(dims, (3.5, 4.5), 9.0),
+                                        (3.5, 4.5)),
+        "bottom_right_edges": lambda dims: (
+            ellipse_mask(dims, (35.2, 26.7), 12.0, 6.0, 0.4), (35.2, 26.7)),
+        # a disk with a bite, so rays leave the mask and re-enter it
+        "concave": lambda dims: (
+            disk_mask(dims, (20.0, 15.0), 12.0)
+            & ~disk_mask(dims, (27.0, 12.0), 6.0), (14.3, 15.6)),
+        # a second blob past the first, near the canvas corner
+        "detached": lambda dims: (
+            disk_mask(dims, (12.0, 12.0), 5.0)
+            | disk_mask(dims, (36.0, 27.0), 2.5), (12.7, 11.2)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(WALK_CASES))
+    def test_bounded_walk_matches_full_canvas_walk(self, case):
+        mask, centroid = self.WALK_CASES[case]((40, 30))
+        for k in (7, 72):
+            assert np.array_equal(ms.sample_shape_vector(mask, centroid, k),
+                                  full_ray_walk(mask, centroid, k,
+                                                ms.shape_model.RAY_STEP))
 
     def test_positive_radii(self):
         mask = disk_mask((48, 48), (24.0, 24.0), 7.0)
