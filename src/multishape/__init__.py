@@ -32,9 +32,6 @@ from .evolution import (
     TraceRow,
     energy,
     evolve,
-    fd_hessian,
-    gradient_fd,
-    hessian_approx,
     mask_energy,
     trust_region_step,
 )

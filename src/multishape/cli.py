@@ -9,12 +9,11 @@ import io
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import metrics as metrics_mod
-from .config import SEED_ENV_VAR, RunConfig, schema_keys
+from .config import RunConfig, schema_keys
 from .errors import (
     CentroidOutsideMask,
     ConfigError,
@@ -71,11 +70,11 @@ def _load_scenes(path):
 
 
 def cmd_generate(args):
-    cfg = _config_from_args(args)
-    generator = cfg.generator
-    # the environment seed has the last word; RunConfig already applied it
-    if args.seed is not None and SEED_ENV_VAR not in os.environ:
-        generator = replace(generator, seed=args.seed)
+    # --seed outranks --generator.seed; RunConfig applies MULTISHAPE_SEED last
+    overrides = dict(args.overrides or {})
+    if args.seed is not None:
+        overrides["generator.seed"] = args.seed
+    generator = RunConfig.load(path=args.config, overrides=overrides).generator
     scenes = generate_batch(generator, args.count)
     export_dataset(scenes, args.out)
     print(f"generated {len(scenes)} scenes into {args.out} "

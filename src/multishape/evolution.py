@@ -23,7 +23,8 @@ phases on it:
   shape changed since the last refresh; adopted only when an alignment
   moved and the energy does not increase.
 - gradient: probe every coordinate at +-FD_STEP, once per fit, and update
-  SR1 (or build the exact finite-difference Hessian).
+  the SR1 Hessian from the change in that gradient; SR1 is the only
+  curvature model.
 - trust-region trial: minimize the quadratic model inside the trust ball
   (Newton step when it fits, the exact ball-constrained solution on the
   boundary, Cauchy point for indefinite models); accepted when it strictly
@@ -64,7 +65,6 @@ class EvolutionConfig:
 
     energy_threshold_fraction: float = 0.05
     max_outer_iterations: int = 200
-    exact_fd_hessian: bool = False
     grid: GridSearchConfig = field(default_factory=GridSearchConfig)
 
     def __post_init__(self):
@@ -120,26 +120,6 @@ def energy(scene, model, x, alignments):
     return mask_energy(union(masks), scene.clump)
 
 
-def gradient_fd(scene, model, x, alignments, h=0.1):
-    """Central-difference gradient of the energy, alignments held fixed.
-
-    ``h`` may be a scalar or a per-coordinate array of raw-unit steps.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    steps = np.broadcast_to(np.asarray(h, dtype=np.float64), x.shape)
-    if np.any(steps <= 0):
-        raise ValueError("finite-difference steps must be positive")
-    g = np.zeros_like(x)
-    for j in range(x.size):
-        probe = x.copy()
-        probe[j] = x[j] + steps[j]
-        e_plus = energy(scene, model, probe, alignments)
-        probe[j] = x[j] - steps[j]
-        e_minus = energy(scene, model, probe, alignments)
-        g[j] = (e_plus - e_minus) / (2.0 * steps[j])
-    return g
-
-
 class Sr1Hessian:
     """Symmetric rank-1 quasi-Newton Hessian approximation.
 
@@ -163,34 +143,6 @@ class Sr1Hessian:
     @property
     def matrix(self):
         return self._hess.copy()
-
-
-def hessian_approx(history, dim):
-    """SR1 matrix after applying (step, gradient change) pairs in order."""
-    approx = Sr1Hessian(dim)
-    for step, grad_change in history:
-        approx.update(step, grad_change)
-    return approx.matrix
-
-
-def fd_hessian(func, x, h):
-    """Full central-difference Hessian of ``func`` at ``x``."""
-    x = np.asarray(x, dtype=np.float64)
-    steps = np.broadcast_to(np.asarray(h, dtype=np.float64), x.shape)
-    dim = x.size
-    hess = np.zeros((dim, dim))
-    f0 = func(x)
-    for i in range(dim):
-        ei = np.zeros(dim)
-        ei[i] = steps[i]
-        hess[i, i] = (func(x + ei) - 2.0 * f0 + func(x - ei)) / steps[i] ** 2
-        for j in range(i + 1, dim):
-            ej = np.zeros(dim)
-            ej[j] = steps[j]
-            mixed = (func(x + ei + ej) - func(x + ei - ej)
-                     - func(x - ei + ej) + func(x - ei - ej))
-            hess[i, j] = hess[j, i] = mixed / (4.0 * steps[i] * steps[j])
-    return hess
 
 
 def _model_value(g, hess, p):
@@ -474,13 +426,7 @@ class _SceneEngine:
                     halted = "zero_gradient"
                     break
 
-            if cfg.exact_fd_hessian:
-                def f(c_flat):
-                    return self.revise(fit, c=c_flat.reshape(n, t)).energy
-                hess = fd_hessian(f, fit.c.reshape(-1), FD_STEP)
-            else:
-                hess = sr1.matrix
-
+            hess = sr1.matrix
             p = trust_region_step(g, hess, delta)
             predicted = -_model_value(g, hess, p)
             step_norm = float(np.linalg.norm(p))

@@ -71,7 +71,7 @@ class WeightUpdate:
     energy_after: int
 
 
-def dataset_examples(dataset, step=0.1, weights=None):
+def dataset_examples(dataset, step=0.1):
     """Flatten pairs into a weighted example set in manifest order."""
     examples = []
     for pair in dataset:
@@ -81,7 +81,7 @@ def dataset_examples(dataset, step=0.1, weights=None):
                 object_id=i,
                 radii=np.asarray(radii, dtype=np.float64),
             ))
-    return WeightedExampleSet(examples=examples, weights=weights, step=step)
+    return WeightedExampleSet(examples=examples, step=step)
 
 
 def terminated_energy(pair, model, evolution_config):

@@ -262,7 +262,7 @@ def load_model(path):
         raise DatasetIOError(f"{path}: model JSON must be an object")
     unknown = set(doc) - MODEL_JSON_KEYS
     if unknown:
-        raise DimensionMismatch(f"unknown model fields: {sorted(unknown)}")
+        raise DatasetIOError(f"{path}: unknown model fields: {sorted(unknown)}")
     missing = MODEL_JSON_KEYS - set(doc)
     if missing:
         raise DatasetIOError(f"{path}: missing model fields: {sorted(missing)}")

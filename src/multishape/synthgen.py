@@ -123,8 +123,8 @@ def generate_scene(cfg, index):
     )
 
 
-def generate_batch(cfg, count, start=0):
-    return [generate_scene(cfg, start + i) for i in range(count)]
+def generate_batch(cfg, count):
+    return [generate_scene(cfg, i) for i in range(count)]
 
 
 def export_dataset(scenes, directory):

@@ -76,6 +76,18 @@ class TestGenerate:
                      "--seed", "99"] + SMALL_ARGS) == 0
         assert tree_bytes(a) == tree_bytes(b)
 
+    def test_seed_flag_outranks_generator_seed(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("MULTISHAPE_SEED", raising=False)
+        trees = {}
+        for tag, seeds in (("both", ["--seed", "5", "--generator.seed", "6"]),
+                           ("5", ["--generator.seed", "5"]),
+                           ("6", ["--generator.seed", "6"])):
+            out = tmp_path / tag
+            assert main(["generate", "--out", str(out), "--count", "2"]
+                        + seeds + SMALL_ARGS) == 0
+            trees[tag] = tree_bytes(out)
+        assert trees["both"] == trees["5"] != trees["6"]
+
     def test_json_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -213,6 +225,7 @@ class TestMalformedFiles:
         "scaled_basis": lambda doc: json.dumps(
             {**doc, "basis": [[3.0 * v for v in doc["basis"][0]]]
              + doc["basis"][1:]}),
+        "unknown_extra": lambda doc: json.dumps({**doc, "extra": 1}),
     }
 
     @staticmethod

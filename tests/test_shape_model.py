@@ -256,5 +256,5 @@ class TestSerialization:
         doc = json.loads(path.read_text())
         doc["extra"] = 1
         path.write_text(json.dumps(doc))
-        with pytest.raises(ms.DimensionMismatch):
+        with pytest.raises(ms.DatasetIOError, match="extra"):
             ms.load_model(path)
