@@ -33,6 +33,7 @@ from .evolution import (
     energy,
     evolve,
     mask_energy,
+    scene_searchers,
     trust_region_step,
 )
 from .importance import LearningConfig, TrainingPair, learn, terminated_energy

@@ -22,7 +22,8 @@ and rotations that can matter:
    pixels.  Since q >= d / max(radii), background pixels beyond
    ``min(min_t, r_max) * max(radii)`` plus the reach margin have q above
    the running minimum or above every grid scale, so once the outward scan
-   passes that distance the rotation's feasible scales are final.
+   passes that distance the rotation's feasible scales are final.  The
+   polar grid grows only when a rotation still reaches past it.
 2. **Only the annulus of the top rotations is counted.**  The rotations
    whose largest feasible scale r is the largest of all share r.  Since
    q <= d / (min(radii) * cos(pi/K)), pixels within
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CentroidOutsideMask
-from .geometry import TWO_PI, RadialGrid
+from .geometry import REACH_MARGIN, TWO_PI, RadialGrid
 from .raster import Alignment
 
 # Largest pixel block evaluated for all rotations at once; bounds the
@@ -82,11 +83,12 @@ class AlignmentSearcher:
     """Reusable alignment search for one centroid inside one clump.
 
     Caches the polar pixel tables, so repeated searches for evolving shapes
-    at the same centroid only pay for arithmetic.  ``radius_bound`` must be
-    at least the largest radii entry of any shape that will be searched.
+    at the same centroid only pay for arithmetic.  The polar grid starts at
+    the clump's equivalent-disk radius ``sqrt(area / pi)`` and grows as
+    searches and masks reach past it.
     """
 
-    def __init__(self, centroid, clump, k, config=None, radius_bound=None):
+    def __init__(self, centroid, clump, k, config=None):
         self.config = config or GridSearchConfig()
         clump = np.asarray(clump, dtype=bool)
         height, width = clump.shape
@@ -95,14 +97,10 @@ class AlignmentSearcher:
         if not (0 <= px < width and 0 <= py < height) or not clump[py, px]:
             raise CentroidOutsideMask(
                 f"centroid ({cx}, {cy}) is not on clump foreground")
-        if radius_bound is None:
-            radius_bound = max(width, height)
-        self.radius_bound = float(radius_bound)
+        self._clump = clump.reshape(-1)
         self.grid = RadialGrid((cx, cy), (width, height), k,
-                               self.config.r_max * self.radius_bound)
-        self._background = ~clump.reshape(-1)[self.grid.flat_index]
-        # grid pixels are distance-sorted, so these are too
-        self._bg_positions = np.nonzero(self._background)[0]
+                               np.sqrt(np.count_nonzero(clump) / np.pi))
+        self._synced = -1
         self._r_values = self.config.r_values()
         self._theta_values = self.config.theta_values()
         # rotation t is radii rolled by shifts[t] at one of the few table
@@ -130,6 +128,15 @@ class AlignmentSearcher:
                 for step in (1, -1)]
         return out
 
+    def _sync_background(self):
+        """Refresh ``_bg_positions`` if the grid has grown since: the grid
+        positions of the pixels off the clump, ascending, so their
+        distances ascend too.  Masks and searches both grow the grid."""
+        if self._synced != self.grid.size:
+            self._bg_positions = np.flatnonzero(
+                ~self._clump[self.grid.flat_index])
+            self._synced = self.grid.size
+
     def _groups(self, selected):
         """``(base, rows)`` per table offset: the ``selected`` rotations
         sharing it, skipping offsets with none."""
@@ -148,25 +155,37 @@ class AlignmentSearcher:
         """Certified per-rotation minimum containment value over background.
 
         Background pixels are scanned outward in growing chunks.  Rotation t
-        is settled once the scan passes ``reach_stop(min(min_t, cap) *
-        max_s)``: farther pixels have q above its running minimum ``min_t``
-        or above ``cap``, the largest scale of interest, so they can change
-        no comparison against the scale grid.  Settled rotations drop out of
-        the batch and the scan stops when every rotation has settled.  A
+        is settled once the scan passes the distance ``min(min_t, cap) *
+        max_s + REACH_MARGIN``: farther pixels have q above its running
+        minimum ``min_t`` or above ``cap``, the largest scale of interest,
+        so they can change no comparison against the scale grid.  Settled
+        rotations drop out of the batch and the scan stops when every
+        rotation has settled.  The grid grows only when the scan has passed
+        every built pixel and some rotation still reaches beyond them.  A
         minimum above ``cap`` is not exact, but it stays above ``cap``.
         """
-        positions = self._bg_positions
-        total = positions.size
+        self._sync_background()
         minimum = np.full(stack.shape[0], np.inf)
         start = 0
         chunk = 256
-        while start < total:
-            limit = self.grid.reach_stop(np.minimum(minimum, cap) * max_s)
-            active = limit > positions[start]
+        while True:
+            reach = np.minimum(minimum, cap) * max_s + REACH_MARGIN
+            farthest = float(reach.max())
+            positions, dist = self._bg_positions, self.grid.dist
+            if start == positions.size:
+                if farthest <= self.grid.reach:
+                    break
+                self.grid.cover(farthest)
+                self._sync_background()
+                continue
+            active = reach >= dist[positions[start]]
             if not active.any():
                 break
-            stop = min(total, start + chunk,
-                       int(np.searchsorted(positions, limit.max())))
+            # background pixels at distances up to the farthest reach
+            within = np.searchsorted(positions,
+                                     np.searchsorted(dist, farthest,
+                                                     side="right"))
+            stop = min(positions.size, start + chunk, int(within))
             for rows, q in self._rotated_q(stack, active,
                                            positions[start:stop]):
                 minimum[rows] = np.minimum(minimum[rows], q.min(axis=1))
@@ -238,8 +257,6 @@ class AlignmentSearcher:
         if radii.size != self.grid.k:
             raise ValueError(f"radii length {radii.size} != searcher k {self.grid.k}")
         max_s = float(radii.max())
-        if max_s > self.radius_bound:
-            raise ValueError("shape exceeds the searcher's radius bound")
         rs = self._r_values
         stack = radii[self._roll_index]
         min_bg = self._background_min(stack, max_s, float(rs[-1]))
@@ -250,8 +267,9 @@ class AlignmentSearcher:
             every = np.ones(stack.shape[0], dtype=bool)
             r0 = np.full(stack.shape[0], rs[0])
             stop = int(self.grid.reach_stop(float(rs[0]) * max_s))
+            background = ~self._clump[self.grid.flat_index[:stop]]
             outside = self._inside_counts(stack, every, r0, 0, stop,
-                                          self._background)
+                                          background)
             best = np.argmin(outside)
             return Alignment(r=float(rs[0]),
                              theta=float(self._theta_values[best]))
@@ -280,7 +298,5 @@ class AlignmentSearcher:
 def align(radii, centroid, clump, config=None):
     """One-shot alignment search; see :class:`AlignmentSearcher`."""
     radii = np.asarray(radii, dtype=np.float64)
-    searcher = AlignmentSearcher(
-        centroid, clump, radii.size, config=config,
-        radius_bound=float(radii.max()))
-    return searcher.search(radii)
+    return AlignmentSearcher(centroid, clump, radii.size,
+                             config=config).search(radii)

@@ -242,7 +242,7 @@ class _SceneEngine:
     reused for all probe rasterizations at that centroid.
     """
 
-    def __init__(self, scene, model, config):
+    def __init__(self, scene, model, config, searchers=None):
         self.scene = scene
         self.model = model
         self.config = config
@@ -251,11 +251,13 @@ class _SceneEngine:
         self.bc = scene.clump.reshape(-1)
         self.e_star = config.energy_threshold_fraction * scene.clump_area
         self.sqrt_ev = np.sqrt(model.eigenvalues)
-        self.searchers = [
-            AlignmentSearcher(c, scene.clump, model.k, config.grid,
-                              radius_bound=model.max_radius_bound())
-            for c in scene.centroids
-        ]
+        if searchers is None:
+            searchers = scene_searchers(scene, model.k, config)
+        elif len(searchers) != self.n or any(s.grid.k != model.k
+                                             for s in searchers):
+            raise DimensionMismatch(
+                f"need {self.n} searchers with K={model.k}")
+        self.searchers = searchers
         self._probed = (None, None)   # (fit, its +-FD_STEP probe table)
 
     def object_mask(self, i, radii, alignment):
@@ -314,17 +316,19 @@ class _SceneEngine:
             probes[2 * idx + 1, idx] -= h
             radii = np.stack([synthesize(self.model, row)
                               for row in self.raw_from_normalized(probes)])
-            # pixels beyond every probe's reach contribute a constant
+            # pixels beyond every probe's reach keep their mismatch, and the
+            # core pixels, inside every probe, mismatch where off the clump
             grid = self.searchers[i].grid
             alignment = fit.alignments[i]
-            stop, inside = grid.inside(radii, alignment.r, alignment.theta)
+            lo, stop, inside = grid.inside(radii, alignment.r,
+                                           alignment.theta)
             near = grid.flat_index[:stop]
-            o_d = others[near]
-            bc_d = self.bc[near]
-            outside_mismatch = (int(np.count_nonzero(others ^ self.bc))
-                                - int(np.count_nonzero(o_d ^ bc_d)))
-            mismatch = (o_d[None, :] | inside) ^ bc_d[None, :]
-            energies[i] = outside_mismatch + np.count_nonzero(mismatch, axis=1)
+            diff = others ^ self.bc
+            constant = (np.count_nonzero(diff) - np.count_nonzero(diff[near])
+                        + np.count_nonzero(~self.bc[near[:lo]]))
+            ring = near[lo:]
+            mismatch = (others[ring] | inside) ^ self.bc[ring]
+            energies[i] = constant + np.count_nonzero(mismatch, axis=1)
         return energies
 
     def gradient(self, fit):
@@ -476,7 +480,19 @@ class _SceneEngine:
         return final_masks, state
 
 
-def evolve(scene, model, config=None):
-    """Segment every object in the scene; returns (masks, state)."""
+def scene_searchers(scene, k, config=None):
+    """One alignment searcher per object of ``scene``, for ``evolve``."""
     config = config or EvolutionConfig()
-    return _SceneEngine(scene, model, config).run()
+    return [AlignmentSearcher(c, scene.clump, k, config.grid)
+            for c in scene.centroids]
+
+
+def evolve(scene, model, config=None, searchers=None):
+    """Segment every object in the scene; returns (masks, state).
+
+    ``searchers`` may pass the :func:`scene_searchers` of an earlier call on
+    the same scene with the same K and grid config, so repeated evolves
+    reuse their polar grids; the result does not depend on it.
+    """
+    config = config or EvolutionConfig()
+    return _SceneEngine(scene, model, config, searchers).run()

@@ -23,6 +23,13 @@ exactly monotone in r.  Since q >= d / max(radii), pixels beyond
 r * max(radii) plus a small rounding margin can never be inside; grid pixels
 are kept sorted by distance so such pixels can be skipped by slicing.
 
+A grid covers only the distances asked of it.  It starts at an extent
+chosen by its caller and grows on demand whenever a query reaches past it,
+by appending whole distance shells.  Appended pixels are farther out than
+every built one and every table is computed elementwise, so a grown grid is
+always a bitwise-identical prefix of the grid built at full extent, and the
+answers of its queries are the same.
+
 The tables (m, A, B) do not depend on the shape, and rotation only moves
 them by whole sectors: rotating the shape by s * 2*pi/K puts vertex j where
 vertex j + s was, which is the same as rolling the radii by s.  A rotation
@@ -36,11 +43,11 @@ The reach cut followed by the test q <= r is the package's single
 containment rule, :meth:`RadialGrid.inside`.  Rasterization, the evolution
 energy and its probes, and the alignment search's area count all use it.
 
-Two more bounds on q let the alignment search skip work without changing a
-single comparison.  With u the pixel's angular offset from its sector's
-first edge (so a = sin(u) and b = sin(S - u) for the sector width
-S = 2*pi/K), A + B = d * cos(u - S/2) / cos(S/2), which lies between d and
-d / cos(pi/K).  Hence
+Two more bounds on q let the containment rule and the alignment search
+skip work without changing a single comparison.  With u the pixel's angular
+offset from its sector's first edge (so a = sin(u) and b = sin(S - u) for
+the sector width S = 2*pi/K), A + B = d * cos(u - S/2) / cos(S/2), which
+lies between d and d / cos(pi/K).  Hence
 
     d / max(r[m], r[m + 1])  <=  q  <=  d / (min(radii) * cos(pi/K)),
 
@@ -48,6 +55,8 @@ so pixels within r * min(radii) * cos(pi/K) are inside at every rotation
 (:meth:`RadialGrid.core_stop`), and a pixel of sector m can only be inside
 at scale r when d <= r * max(r[m], r[m + 1]), which per-sector distance
 counts turn into an upper bound on the area (:meth:`RadialGrid.area_bound`).
+:meth:`RadialGrid.inside` skips the same certified core: it evaluates q only
+on the annulus between the core and the reach.
 """
 
 from __future__ import annotations
@@ -67,6 +76,12 @@ REACH_MARGIN = 2.0
 # angle), far below this margin at any canvas size in use.
 BOUND_MARGIN = 1e-6
 
+# A grid asked past its reach grows to at least GROWTH times that reach.
+# Any factor above 1 makes the reaches grow geometrically, so the box work
+# of all growths stays within a constant multiple of the last box's;
+# a small factor keeps the grid close to what was asked for.
+GROWTH = 1.25
+
 # Distance bin width of the per-sector pixel counts behind area_bound.
 SECTOR_BIN = 1.0
 
@@ -79,14 +94,21 @@ OFFSET_QUANTUM = 2.0 ** -36
 class RadialGrid:
     """Per-pixel polar lookup tables around one center point.
 
-    Covers every canvas pixel whose center lies within ``extent`` plus
-    ``REACH_MARGIN`` of the center, so a shape whose scaled radii stay
-    within ``extent`` is covered whole, ordered by increasing distance
-    (ties by flat index).  The tables are shape independent: one grid
-    serves any radii vector of length ``k`` at any rotation.  They are
-    built once per fractional sector offset of the rotation (see
-    :meth:`split_rotation`); whole sectors of rotation are a roll of the
-    radii.
+    Holds every canvas pixel whose center lies within ``reach`` of the
+    center, ordered by increasing distance (ties by flat index).  The grid
+    starts at ``extent`` plus ``REACH_MARGIN`` and grows on demand: every
+    query past the built reach (:meth:`reach_stop`, :meth:`core_stop`,
+    :meth:`area_bound`, or an explicit :meth:`cover`) first appends the
+    pixels out to the larger of what it needs and ``GROWTH`` times the
+    reach.  Appended pixels lie farther out than every built one and all
+    tables are elementwise, so the built pixels stay a bitwise-identical
+    prefix of the grid built at full extent.  Once the whole canvas is
+    built, ``reach`` is infinite.
+
+    The tables are shape independent: one grid serves any radii vector of
+    length ``k`` at any rotation.  They are built once per fractional
+    sector offset of the rotation (see :meth:`split_rotation`); whole
+    sectors of rotation are a roll of the radii.
     """
 
     def __init__(self, center, dims, k, extent):
@@ -95,14 +117,28 @@ class RadialGrid:
             raise ValueError("canvas dims must be positive")
         if k < 3:
             raise ValueError("k must be at least 3")
-        cx, cy = float(center[0]), float(center[1])
-        reach = float(extent) + REACH_MARGIN
+        self.center = (float(center[0]), float(center[1]))
+        self.dims = (width, height)
+        self.k = int(k)
+        self.sector = TWO_PI / self.k
+        self._sin_sector = np.sin(self.sector)
+        self._cos_half_sector = np.cos(0.5 * self.sector)
+        self._tables: dict[float, tuple] = {}
+        self._counts: dict[float, np.ndarray] = {}
+        self.reach = -np.inf
+        self.flat_index = np.zeros(0, dtype=np.intp)
+        self.dist = np.zeros(0)
+        self._phi = np.zeros(0)
+        self._grow(float(extent) + REACH_MARGIN)
 
+    def _grow(self, reach):
+        """Append the canvas pixels beyond the built reach, up to ``reach``."""
+        (cx, cy), (width, height) = self.center, self.dims
         x0 = max(int(np.floor(cx - reach)) - 1, 0)
         x1 = min(int(np.ceil(cx + reach)) + 1, width)
         y0 = max(int(np.floor(cy - reach)) - 1, 0)
         y1 = min(int(np.ceil(cy + reach)) + 1, height)
-        # an empty range leaves empty tables (center far off the canvas)
+        # an empty range adds nothing (center far off the canvas)
         xs = np.arange(x0, x1, dtype=np.float64) + 0.5
         ys = np.arange(y0, y1, dtype=np.float64) + 0.5
         # materialized grids keep every ufunc on contiguous arrays,
@@ -112,7 +148,7 @@ class RadialGrid:
         dy = np.ascontiguousarray(np.broadcast_to(ys[:, None] - cy,
                                                   (ys.size, xs.size)))
         d = np.hypot(dx, dy)
-        keep = d <= reach
+        keep = (d > self.reach) & (d <= reach)
         yy, xx = np.nonzero(keep)
         flat_index = (yy + y0) * width + (xx + x0)
         dist = d[keep]
@@ -121,17 +157,22 @@ class RadialGrid:
         # np.nonzero is row-major, so flat_index is ascending and a stable
         # sort breaks distance ties by flat index
         order = np.argsort(dist, kind="stable")
-        self.flat_index = flat_index[order]
-        self.dist = dist[order]
-        self._phi = phi[order]
+        flat_index, dist, phi = flat_index[order], dist[order], phi[order]
+        self.flat_index = np.concatenate([self.flat_index, flat_index])
+        self.dist = np.concatenate([self.dist, dist])
+        self._phi = np.concatenate([self._phi, phi])
+        for base, table in self._tables.items():
+            self._tables[base] = tuple(
+                np.concatenate(pair)
+                for pair in zip(table, self._table_entries(phi, dist, base)))
+        self._counts.clear()
+        whole = (x1 - x0, y1 - y0) == (width, height)
+        self.reach = np.inf if whole and d.max() <= reach else reach
 
-        self.dims = (width, height)
-        self.k = int(k)
-        self.sector = TWO_PI / self.k
-        self._sin_sector = np.sin(self.sector)
-        self._cos_half_sector = np.cos(0.5 * self.sector)
-        self._tables: dict[float, tuple] = {}
-        self._counts: dict[float, np.ndarray] = {}
+    def cover(self, distance):
+        """Grow the grid until it holds every pixel within ``distance``."""
+        if distance > self.reach:
+            self._grow(max(float(distance), GROWTH * self.reach))
 
     @property
     def size(self):
@@ -153,22 +194,26 @@ class RadialGrid:
             whole, steps = whole + 1, 0
         return whole % self.k, steps * OFFSET_QUANTUM * self.sector
 
-    def _sector_table(self, base):
-        """Per-pixel sector ``m``, ``m + 1``, ``A`` and ``B`` at offset ``base``.
+    def _table_entries(self, phi, dist, base):
+        """Sector ``m``, ``A`` and ``B`` of pixels at offset ``base``.
 
         Built elementwise, without reductions, so a pixel's entries do not
         depend on the grid's extent.
         """
+        phi_rel = np.mod(phi - base, TWO_PI)
+        m = (phi_rel / self.sector).astype(np.int32)
+        np.minimum(m, self.k - 1, out=m)
+        edge = self.sector * m
+        scale = dist / self._sin_sector
+        coef_a = scale * np.sin(phi_rel - edge)
+        coef_b = scale * np.sin((edge + self.sector) - phi_rel)
+        return m, coef_a, coef_b
+
+    def _sector_table(self, base):
+        """Per-pixel table at offset ``base``, extended as the grid grows."""
         table = self._tables.get(base)
         if table is None:
-            phi_rel = np.mod(self._phi - base, TWO_PI)
-            m = (phi_rel / self.sector).astype(np.int32)
-            np.minimum(m, self.k - 1, out=m)
-            edge = self.sector * m
-            scale = self.dist / self._sin_sector
-            coef_a = scale * np.sin(phi_rel - edge)
-            coef_b = scale * np.sin((edge + self.sector) - phi_rel)
-            table = (m, m + 1, coef_a, coef_b)
+            table = self._table_entries(self._phi, self.dist, base)
             self._tables[base] = table
         return table
 
@@ -187,14 +232,16 @@ class RadialGrid:
             raise ValueError(
                 f"radii length {radii.shape[-1]} does not match grid k={self.k}")
         shift, base = self.split_rotation(theta)
-        m, m_next, coef_a, coef_b = self._sector_table(base)
+        m, coef_a, coef_b = self._sector_table(base)
         inv = 1.0 / radii
         if shift:
             inv = np.roll(inv, shift, axis=-1)
+        # inv[..., 1:][m] is the sector's second vertex, m + 1 mod K
         inv = np.concatenate([inv, inv[..., :1]], axis=-1)
-        q = np.take(inv, m_next[index], axis=-1)
+        sector = m[index]
+        q = np.take(inv[..., 1:], sector, axis=-1)
         q *= coef_a[index]
-        term = np.take(inv, m[index], axis=-1)
+        term = np.take(inv, sector, axis=-1)
         term *= coef_b[index]
         q += term
         return q
@@ -202,23 +249,26 @@ class RadialGrid:
     def inside(self, radii, r, theta):
         """Which grid pixels the shape scaled by ``r`` contains.
 
-        Pixels beyond ``r * max(radii) + REACH_MARGIN`` are never inside, so
-        only the first ``stop`` pixels are tested.  Returns ``(stop, inside)``
-        with ``inside`` of shape (stop,) for a (k,) radii vector or
-        (n, stop) for an (n, k) batch, whose reach is set by its largest
-        entry.
+        Pixels beyond ``r * max(radii) + REACH_MARGIN`` are never inside and
+        the first ``lo = core_stop(r * min(radii))`` pixels always are, so
+        only the annulus between is tested.  Returns ``(lo, stop, inside)``
+        with ``inside`` of shape (stop - lo,) for a (k,) radii vector or
+        (n, stop - lo) for an (n, k) batch, whose core and reach are set by
+        its smallest and largest entries.
         """
         radii = np.asarray(radii, dtype=np.float64)
-        stop = self.reach_stop(r * float(radii.max()))
-        return stop, self.q_values(radii, theta, slice(0, stop)) <= r
+        stop = int(self.reach_stop(r * float(radii.max())))
+        lo = int(self.core_stop(r * float(radii.min())))
+        return lo, stop, self.q_values(radii, theta, slice(lo, stop)) <= r
 
     def reach_stop(self, extent):
         """Number of grid pixels within ``extent + REACH_MARGIN``.
 
         Elementwise for an array of extents.
         """
-        return np.searchsorted(self.dist, np.add(extent, REACH_MARGIN),
-                               side="right")
+        reach = np.add(extent, REACH_MARGIN)
+        self.cover(np.max(reach))
+        return np.searchsorted(self.dist, reach, side="right")
 
     def core_stop(self, extent):
         """Number of leading grid pixels inside at every rotation.
@@ -227,9 +277,9 @@ class RadialGrid:
         ``extent * cos(pi/K)`` satisfies q <= scale whatever the rotation,
         so the first ``core_stop`` pixels are inside without evaluation.
         """
-        return np.searchsorted(
-            self.dist, extent * self._cos_half_sector - BOUND_MARGIN,
-            side="right")
+        core = extent * self._cos_half_sector - BOUND_MARGIN
+        self.cover(np.max(core))
+        return np.searchsorted(self.dist, core, side="right")
 
     def _sector_counts(self, base):
         """Cumulative pixel counts per sector at offset ``base``, flattened.
@@ -262,8 +312,6 @@ class RadialGrid:
         its distance is at most ``r * max(radii[m], radii[m + 1])``; every
         pixel of sector m up to that distance's bin is counted.
         """
-        counts = self._sector_counts(base)
-        cols = counts.size // self.k
         ring = np.concatenate([radii, radii[:, :1]], axis=-1)
         reach = np.maximum(ring[:, :-1], ring[:, 1:])
         reach *= np.asarray(r)[:, None]
@@ -271,6 +319,10 @@ class RadialGrid:
         # the bin index of reach, plus one: bins up to and including it
         j = (reach / SECTOR_BIN).astype(np.intp)
         j += 1
+        # bins below j hold pixels closer than j * SECTOR_BIN
+        self.cover(float(j.max()) * SECTOR_BIN)
+        counts = self._sector_counts(base)
+        cols = counts.size // self.k
         np.minimum(j, cols - 1, out=j)
         j += cols * np.arange(self.k)
         return np.take(counts, j).sum(axis=1)
@@ -279,6 +331,7 @@ class RadialGrid:
         """Flat canvas mask of the shape at scale ``r``, rotation ``theta``."""
         width, height = self.dims
         out = np.zeros(height * width, dtype=bool)
-        stop, inside = self.inside(radii, r, theta)
-        out[self.flat_index[:stop][inside]] = True
+        lo, stop, inside = self.inside(radii, r, theta)
+        out[self.flat_index[:lo]] = True
+        out[self.flat_index[lo:stop][inside]] = True
         return out

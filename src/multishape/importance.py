@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyDataset
-from .evolution import EvolutionConfig, evolve
+from .evolution import EvolutionConfig, evolve, scene_searchers
 from .shape_model import (
     DEFAULT_VARIANCE_THRESHOLD,
     ShapeExample,
@@ -84,13 +84,17 @@ def dataset_examples(dataset, step=0.1):
     return WeightedExampleSet(examples=examples, step=step)
 
 
-def terminated_energy(pair, model, evolution_config):
-    """Final energy of an evolution run on the pair's scene."""
+def terminated_energy(pair, model, evolution_config, searchers=None):
+    """Final energy of an evolution run on the pair's scene.
+
+    ``searchers`` are the pair's :func:`scene_searchers`, reused across
+    calls; built afresh when None.
+    """
     k = np.asarray(pair.shapes[0]).size
     if k != model.k:
         raise DimensionMismatch(
             f"pair shapes have K={k} but the model has K={model.k}")
-    _, state = evolve(pair.scene, model, evolution_config)
+    _, state = evolve(pair.scene, model, evolution_config, searchers)
     return state.energy
 
 
@@ -120,6 +124,10 @@ def learn(dataset, config=None):
         return build_model(trial_set, config.variance_threshold)
 
     model = model_for(counts)
+    # a search depends on the scene, K and the grid config, not the model,
+    # so each pair's searchers serve every trial evolve of the call
+    searchers = [scene_searchers(pair.scene, model.k, config.evolution)
+                 for pair in dataset]
 
     # manifest offsets of each pair's examples
     offsets = []
@@ -132,14 +140,16 @@ def learn(dataset, config=None):
     for cycle in range(config.max_cycles):
         committed_this_cycle = 0
         for pair_index, pair in enumerate(dataset):
-            e_current = terminated_energy(pair, model, config.evolution)
+            e_current = terminated_energy(pair, model, config.evolution,
+                                          searchers[pair_index])
             for local_index in range(len(pair.shapes)):
                 global_index = offsets[pair_index] + local_index
                 for _ in range(config.max_tries_per_example):
                     counts[global_index] += 1
                     trial_model = model_for(counts)
                     e_trial = terminated_energy(pair, trial_model,
-                                                config.evolution)
+                                                config.evolution,
+                                                searchers[pair_index])
                     if e_trial < e_current:
                         model = trial_model
                         history.append(WeightUpdate(

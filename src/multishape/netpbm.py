@@ -64,7 +64,11 @@ def read_pgm(path):
         magic, _ = next(tokens)
         if magic not in (b"P5", b"P2"):
             raise DatasetIOError(f"{path}: unsupported magic {magic!r}")
-        (width, _), (height, _), (maxval, end) = (next(tokens) for _ in range(3))
+        # plain next() calls: a StopIteration raised inside a generator
+        # expression would surface as RuntimeError
+        (width, _), (height, _), (maxval, end) = (next(tokens),
+                                                  next(tokens),
+                                                  next(tokens))
         width, height, maxval = int(width), int(height), int(maxval)
     except (StopIteration, ValueError) as exc:
         raise DatasetIOError(f"{path}: malformed PGM header") from exc
@@ -83,7 +87,11 @@ def read_pgm(path):
         fields = data[end:].split()
         if len(fields) < count:
             raise DatasetIOError(f"{path}: truncated raster")
-        values = np.array([int(v) for v in fields[:count]], dtype=np.int64)
+        try:
+            values = np.array([int(v) for v in fields[:count]],
+                              dtype=np.int64)
+        except (ValueError, OverflowError) as exc:
+            raise DatasetIOError(f"{path}: malformed raster value") from exc
     return (values != 0).reshape(height, width)
 
 

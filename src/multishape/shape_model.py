@@ -97,11 +97,6 @@ class ShapeModel:
         """Per-mode half-width of the plausible coefficient box."""
         return COEFF_SIGMA_BOX * np.sqrt(self.eigenvalues)
 
-    def max_radius_bound(self):
-        """Largest radius this model can synthesize, the floor included."""
-        spread = np.abs(self.basis) @ self.coefficient_bounds()
-        return max(float(np.max(self.mean + spread)), RADIUS_FLOOR)
-
 
 def sample_shape_vector(mask, centroid, k=DEFAULT_K):
     """Sample the radial shape vector of a mask about a centroid.

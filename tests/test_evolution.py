@@ -397,6 +397,22 @@ class TestEvolve:
         for a, b in zip(masks_a, masks_b):
             assert np.array_equal(a, b)
 
+    def test_shared_searchers_same_result(self, tiny_model, tiny_dataset):
+        # the searchers carry grids grown by an earlier, shorter evolve
+        scene = tiny_dataset[3]
+        cfg = ms.EvolutionConfig(max_outer_iterations=40)
+        searchers = ms.scene_searchers(scene, tiny_model.k, cfg)
+        ms.evolve(tiny_dataset[3], tiny_model,
+                  ms.EvolutionConfig(max_outer_iterations=3), searchers)
+        masks_a, state_a = ms.evolve(scene, tiny_model, cfg)
+        masks_b, state_b = ms.evolve(scene, tiny_model, cfg, searchers)
+        assert state_a.trace == state_b.trace
+        assert state_a.alignments == state_b.alignments
+        for a, b in zip(masks_a, masks_b):
+            assert np.array_equal(a, b)
+        with pytest.raises(ms.DimensionMismatch):
+            ms.evolve(scene, tiny_model, cfg, searchers[:-1])
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ms.EvolutionConfig(energy_threshold_fraction=0.0)

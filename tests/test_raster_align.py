@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import multishape as ms
 from conftest import disk_mask, ellipse_mask
@@ -74,6 +75,20 @@ class TestRasterize:
             oracle = fill_polygon_oracle(vertices, (40, 40))
             assert np.array_equal(mask, oracle), f"k={k}"
 
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(radii=st.lists(st.floats(0.5, 12.0), min_size=3, max_size=40),
+           centroid=st.tuples(st.floats(-4.0, 36.0), st.floats(-4.0, 32.0)),
+           r=st.floats(0.3, 2.0), theta=st.floats(-7.0, 7.0))
+    def test_matches_oracle_property(self, radii, centroid, r, theta):
+        # centroids near and beyond the border clip the shape at the edge
+        radii = np.asarray(radii)
+        mask = ms.rasterize(radii, centroid, ms.Alignment(r=r, theta=theta),
+                            (32, 28))
+        oracle = fill_polygon_oracle(
+            radial_vertices(radii, centroid, r, theta), (32, 28))
+        assert np.array_equal(mask, oracle)
+
 
 class TestRadialGrid:
     @pytest.mark.parametrize("k", [37, 360])
@@ -103,8 +118,7 @@ class TestRadialGrid:
         clump = disk_mask((48, 48), center, 14.0)
         radii = np.full(k, 8.0)
         config = ms.GridSearchConfig(theta_count=theta_count)
-        searcher = ms.AlignmentSearcher(center, clump, k, config,
-                                        radius_bound=8.0)
+        searcher = ms.AlignmentSearcher(center, clump, k, config)
         searcher.search(radii)
         for theta in config.theta_values():
             searcher.grid.mask(radii, 1.0, theta)
@@ -153,6 +167,120 @@ class TestSearchBounds:
                     q = grid.q_values(radii, theta, slice(0, core))
                     assert np.all(q <= r), f"r={r} theta={theta}"
 
+    @pytest.mark.parametrize("k, theta_count", BOUND_CASES)
+    def test_inside_skips_only_the_core(self, k, theta_count):
+        grid = ms.geometry.RadialGrid((30.3, 29.6), (60, 60), k, 26.0)
+        config = ms.GridSearchConfig(theta_count=theta_count)
+        shapes = bound_radii(k)
+        # a (2t, k) batch like the evolution's probe table, with t = 4
+        rng = np.random.default_rng(k + 1)
+        probes = shapes[1] * (1.0 + 0.05 * rng.standard_normal((8, k)))
+        width, height = grid.dims
+        for radii in shapes + [probes]:
+            for r in config.r_values()[::8]:
+                for theta in config.theta_values():
+                    lo, stop, inside = grid.inside(radii, r, theta)
+                    full = grid.q_values(radii, theta)[..., :stop] <= r
+                    assert 0 < lo <= stop
+                    assert np.array_equal(inside, full[..., lo:])
+                    assert np.all(full[..., :lo]), f"r={r} theta={theta}"
+                    if radii.ndim == 1:
+                        want = np.zeros(width * height, dtype=bool)
+                        want[grid.flat_index[:stop][full]] = True
+                        assert np.array_equal(grid.mask(radii, r, theta),
+                                              want)
+
+
+GROWTH_CENTERS = [(0.0, 0.0), (29.5, 0.25), (23.37, 31.81)]
+GROWTH_KS = [36, 37, 48, 360]
+GROWTH_DIMS = (60, 48)
+
+
+def grid_pair(center, k):
+    """A fresh grid started tiny and the same grid built at full extent."""
+    small = ms.geometry.RadialGrid(center, GROWTH_DIMS, k, 0.0)
+    full = ms.geometry.RadialGrid(center, GROWTH_DIMS, k, 1000.0)
+    assert full.reach == np.inf and small.size < 20
+    return small, full
+
+
+def assert_prefix(small, full, bases):
+    n = small.size
+    assert np.array_equal(small.flat_index, full.flat_index[:n])
+    assert np.array_equal(small.dist, full.dist[:n])
+    for base in bases:
+        for got, want in zip(small._sector_table(base),
+                             full._sector_table(base)):
+            assert np.array_equal(got, want[:n])
+
+
+class TestGridGrowth:
+    """A grid grown on demand is a bitwise prefix of the full grid."""
+
+    @pytest.mark.parametrize("center", GROWTH_CENTERS)
+    @pytest.mark.parametrize("k", GROWTH_KS)
+    def test_grown_tables_equal_full_grid(self, center, k):
+        small, full = grid_pair(center, k)
+        bases = sorted({small.split_rotation(t)[1]
+                        for t in ms.GridSearchConfig().theta_values()})
+        # tables built before growth are extended, not rebuilt
+        for base in bases[:2]:
+            small._sector_table(base)
+        for extent in (3.0, 4.5, 11.0, 30.0, 90.0):
+            assert small.reach_stop(extent) == full.reach_stop(extent)
+            assert_prefix(small, full, bases)
+        assert small.reach == np.inf and small.size == full.size
+
+    @pytest.mark.parametrize("center", GROWTH_CENTERS)
+    @pytest.mark.parametrize("k", GROWTH_KS)
+    def test_core_stop_grows_first(self, center, k):
+        small, full = grid_pair(center, k)
+        extents = np.array([5.0, 17.5, 40.0])
+        assert np.array_equal(small.core_stop(extents),
+                              full.core_stop(extents))
+        assert_prefix(small, full, [0.0])
+
+    @pytest.mark.parametrize("center", GROWTH_CENTERS)
+    @pytest.mark.parametrize("k", GROWTH_KS)
+    def test_area_bound_grows_first(self, center, k):
+        small, full = grid_pair(center, k)
+        rs = ms.GridSearchConfig().r_values()
+        for radii in bound_radii(k):
+            rolled = np.repeat(np.roll(radii, 3)[None, :], rs.size, 0)
+            fresh, _ = grid_pair(center, k)
+            base = fresh.split_rotation(0.3)[1]
+            want = full.area_bound(rolled, rs, base)
+            assert np.array_equal(fresh.area_bound(rolled, rs, base), want)
+            assert np.array_equal(small.area_bound(rolled, rs, base), want)
+            assert_prefix(fresh, full, [base])
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(radii=st.lists(st.floats(1.0, 9.0), min_size=5, max_size=40),
+           axes=st.tuples(st.floats(0.2, 14.0), st.floats(0.2, 14.0)),
+           tilt=st.floats(0.0, np.pi),
+           center=st.tuples(st.floats(0.0, 31.99), st.floats(0.0, 31.99)),
+           r_min=st.floats(0.3, 1.0),
+           n_scales=st.integers(1, 6),
+           theta_count=st.integers(1, 12))
+    def test_small_searcher_matches_brute_force(
+            self, radii, axes, tilt, center, r_min, n_scales, theta_count):
+        # clumps clipped at the canvas edge, and single-pixel ones that no
+        # shape fits (the infeasible fallback)
+        radii = np.asarray(radii)
+        clump = ellipse_mask((32, 32), center, axes[0], axes[1], tilt)
+        clump[int(center[1]), int(center[0])] = True
+        config = ms.GridSearchConfig(r_min=r_min,
+                                     r_max=r_min + 0.25 * (n_scales - 0.5),
+                                     r_step=0.25, theta_count=theta_count)
+        searcher = ms.AlignmentSearcher(center, clump, radii.size, config)
+        # restart from a grid that holds only the nearest pixels
+        searcher.grid = ms.geometry.RadialGrid(center, (32, 32), radii.size,
+                                               0.0)
+        searcher._synced = -1   # the background of the replaced grid is stale
+        assert searcher.search(radii) == brute_force_align(
+            radii, center, clump, config.r_values(), config.theta_values(),
+            ms.rasterize, ms.Alignment)
 
 class TestUnion:
     def test_idempotent(self):
@@ -228,8 +356,7 @@ class TestAlign:
                 radii = rng.uniform(5.0, 9.0) * np.ones(k) \
                     * (1.0 + 0.15 * np.cos(2 * np.pi * np.arange(k) / k * 2
                                            + rng.uniform(0, 6)))
-                fast = ms.AlignmentSearcher(center, clump, k, config,
-                                            radius_bound=float(radii.max()))
+                fast = ms.AlignmentSearcher(center, clump, k, config)
                 got = fast.search(radii)
                 expected = brute_force_align(radii, center, clump, r_values,
                                              theta_values, ms.rasterize,
@@ -319,6 +446,22 @@ class TestAlign:
             ms.rasterize, ms.Alignment)
         assert result.r < 1.5
 
+    def test_grid_grown_between_searches(self):
+        # a mask grows the grid past the background the last search saw;
+        # the next search must scan the new pixels too
+        center = (80.0, 80.0)
+        clump = ellipse_mask((160, 160), center, 40.0, 5.0)
+        k = 36
+        angles = 2 * np.pi * np.arange(k) / k
+        needle = 90.0 / np.hypot(3.0 * np.cos(angles), 30.0 * np.sin(angles))
+        config = ms.GridSearchConfig(r_min=1.0, r_max=1.6, r_step=0.05,
+                                     theta_count=24)
+        searcher = ms.AlignmentSearcher(center, clump, k, config)
+        searcher.search(np.full(k, 2.0))
+        searcher.grid.mask(needle, 1.6, 0.0)
+        assert searcher.search(needle) == ms.align(needle, center, clump,
+                                                   config)
+
     def test_feasible_result_is_subset(self):
         center = (40.0, 40.0)
         clump = ellipse_mask((80, 80), center, 22.0, 14.0, rotation=0.3)
@@ -379,7 +522,71 @@ class TestAlign:
             ms.align(np.full(36, 4.0), (2.0, 2.0), clump)
 
 
+MASKS = arrays(bool, st.tuples(st.integers(1, 24), st.integers(1, 24)))
+# header pieces, well-formed and not, joined by random separators
+HEADER_TOKENS = st.one_of(
+    st.sampled_from([b"P5", b"P2", b"P6", b"P", b"#", b"# note\n", b"0",
+                     b"-1", b"1", b"3", b"255", b"256", b"1e3", b"0x10",
+                     b"x", b"\xff", b"4000000000", b"1" * 24]),
+    st.binary(max_size=4))
+
+
 class TestNetpbm:
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(mask=MASKS)
+    def test_pgm_round_trip_property(self, tmp_path_factory, mask):
+        path = tmp_path_factory.mktemp("pgm") / "m.pgm"
+        ms.write_pgm(path, mask)
+        got = ms.read_pgm(path)
+        assert got.dtype == bool and np.array_equal(got, mask)
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(mask=MASKS, maxval=st.integers(1, 255), data=st.data())
+    def test_ascii_pgm_round_trip_property(self, tmp_path_factory, mask,
+                                           maxval, data):
+        values = np.where(mask, data.draw(arrays(
+            np.int64, mask.shape, elements=st.integers(1, maxval))), 0)
+        height, width = mask.shape
+        text = f"P2\n# written by hand\n{width} {height}\n{maxval}\n" + \
+            "\n".join(" ".join(map(str, row)) for row in values) + "\n"
+        path = tmp_path_factory.mktemp("pgm") / "m.pgm"
+        path.write_text(text)
+        assert np.array_equal(ms.read_pgm(path), mask)
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(tokens=st.lists(HEADER_TOKENS, max_size=6),
+           seps=st.lists(st.sampled_from([b" ", b"\n", b"\t", b"", b"#"]),
+                         min_size=6, max_size=6),
+           tail=st.binary(max_size=24))
+    def test_header_fuzz_raises_only_dataset_io_error(
+            self, tmp_path_factory, tokens, seps, tail):
+        blob = b"".join(t + sep for t, sep in zip(tokens, seps)) + tail
+        path = tmp_path_factory.mktemp("pgm") / "m.pgm"
+        path.write_bytes(blob)
+        try:
+            mask = ms.read_pgm(path)
+        except ms.DatasetIOError:
+            return
+        assert mask.dtype == bool and mask.ndim == 2 and mask.size > 0
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(size=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+           tokens=st.lists(HEADER_TOKENS, max_size=10))
+    def test_ascii_raster_fuzz_raises_only_dataset_io_error(
+            self, tmp_path_factory, size, tokens):
+        header = f"P2\n{size[0]} {size[1]}\n255\n".encode()
+        path = tmp_path_factory.mktemp("pgm") / "m.pgm"
+        path.write_bytes(header + b" ".join(tokens))
+        try:
+            mask = ms.read_pgm(path)
+        except ms.DatasetIOError:
+            return
+        assert mask.shape == (size[1], size[0])
+
     def test_pgm_round_trip(self, tmp_path):
         rng = np.random.default_rng(23)
         mask = rng.random((19, 27)) < 0.4
