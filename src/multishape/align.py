@@ -43,12 +43,13 @@ and rotations that can matter:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CentroidOutsideMask
-from .geometry import REACH_MARGIN, TWO_PI, RadialGrid
+from .geometry import REACH_MARGIN, TWO_PI, RadialGrid, split_rotation
 from .raster import Alignment
 
 # Largest pixel block evaluated for all rotations at once; bounds the
@@ -79,6 +80,29 @@ class GridSearchConfig:
         return TWO_PI * np.arange(self.theta_count) / self.theta_count
 
 
+@functools.lru_cache(maxsize=8)
+def _rotation_plan(k, theta_count):
+    """``(roll_index, offset_rows)`` of the grid rotations at K radii.
+
+    Rotation t is the radii rolled by ``roll_index[t]`` at one of the few
+    table offsets; ``offset_rows`` pairs each offset with the rotations
+    sharing it, which are evaluated in one batch.  The plan depends only on
+    K and the rotation count, so every searcher shares one read-only copy.
+    """
+    thetas = GridSearchConfig(theta_count=theta_count).theta_values()
+    splits = [split_rotation(theta, k) for theta in thetas]
+    shifts = np.array([shift for shift, _ in splits])
+    roll_index = (np.arange(k)[None, :] - shifts[:, None]) % k
+    roll_index.setflags(write=False)
+    bases = [base for _, base in splits]
+    offset_rows = []
+    for base in dict.fromkeys(bases):
+        rows = np.flatnonzero(np.equal(bases, base))
+        rows.setflags(write=False)
+        offset_rows.append((base, rows))
+    return roll_index, tuple(offset_rows)
+
+
 class AlignmentSearcher:
     """Reusable alignment search for one centroid inside one clump.
 
@@ -103,14 +127,8 @@ class AlignmentSearcher:
         self._synced = -1
         self._r_values = self.config.r_values()
         self._theta_values = self.config.theta_values()
-        # rotation t is radii rolled by shifts[t] at one of the few table
-        # offsets; rows sharing an offset are evaluated in one batch
-        splits = [self.grid.split_rotation(t) for t in self._theta_values]
-        shifts = np.array([shift for shift, _ in splits])
-        self._roll_index = (np.arange(k)[None, :] - shifts[:, None]) % k
-        bases = [base for _, base in splits]
-        self._offset_rows = [(base, np.flatnonzero(np.equal(bases, base)))
-                             for base in dict.fromkeys(bases)]
+        self._roll_index, self._offset_rows = _rotation_plan(
+            self.grid.k, self.config.theta_count)
 
     def neighbors(self, alignment):
         """Single grid-step moves of ``alignment``, on the searched grids.

@@ -37,6 +37,7 @@ phases on it:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,7 +160,9 @@ def _boundary_step(g, hess, delta):
     b = eigvecs.T @ g
 
     def step_norm(nu):
-        return float(np.linalg.norm(b / (eigvals + nu)))
+        # np.linalg.norm of a 1-D vector, bitwise, without its wrapper cost
+        v = b / (eigvals + nu)
+        return math.sqrt(v.dot(v))
 
     lo = 0.0
     hi = max(float(np.linalg.norm(g)) / delta, 1.0)
@@ -314,8 +317,7 @@ class _SceneEngine:
             idx = np.arange(self.t)
             probes[2 * idx, idx] += h
             probes[2 * idx + 1, idx] -= h
-            radii = np.stack([synthesize(self.model, row)
-                              for row in self.raw_from_normalized(probes)])
+            radii = synthesize(self.model, self.raw_from_normalized(probes))
             # pixels beyond every probe's reach keep their mismatch, and the
             # core pixels, inside every probe, mismatch where off the clump
             grid = self.searchers[i].grid

@@ -91,6 +91,25 @@ SECTOR_BIN = 1.0
 OFFSET_QUANTUM = 2.0 ** -36
 
 
+def split_rotation(theta, k):
+    """``(shift, base)`` with ``theta`` = ``shift`` sectors of 2*pi/k plus
+    ``base``.
+
+    ``base`` is the canonical angle of the fractional sector offset, in
+    [0, 2*pi/k), so every rotation with the same offset shares one table.
+    The shape rotated by ``theta`` is the shape with radii
+    ``np.roll(radii, shift)`` rotated by ``base``, and
+    ``split_rotation(base, k)`` is ``(0, base)``.
+    """
+    sector = TWO_PI / k
+    turns = float(theta) / sector
+    whole = math.floor(turns)
+    steps = round((turns - whole) / OFFSET_QUANTUM)
+    if steps * OFFSET_QUANTUM >= 1.0:
+        whole, steps = whole + 1, 0
+    return whole % k, steps * OFFSET_QUANTUM * sector
+
+
 class RadialGrid:
     """Per-pixel polar lookup tables around one center point.
 
@@ -107,7 +126,7 @@ class RadialGrid:
 
     The tables are shape independent: one grid serves any radii vector of
     length ``k`` at any rotation.  They are built once per fractional
-    sector offset of the rotation (see :meth:`split_rotation`); whole
+    sector offset of the rotation (see :func:`split_rotation`); whole
     sectors of rotation are a roll of the radii.
     """
 
@@ -178,22 +197,6 @@ class RadialGrid:
     def size(self):
         return self.dist.size
 
-    def split_rotation(self, theta):
-        """``(shift, base)`` with ``theta`` = ``shift`` sectors + ``base``.
-
-        ``base`` is the canonical angle of the fractional sector offset, in
-        [0, 2*pi/K), so every rotation with the same offset shares one table.
-        The shape rotated by ``theta`` is the shape with radii
-        ``np.roll(radii, shift)`` rotated by ``base``, and
-        ``split_rotation(base)`` is ``(0, base)``.
-        """
-        turns = float(theta) / self.sector
-        whole = math.floor(turns)
-        steps = round((turns - whole) / OFFSET_QUANTUM)
-        if steps * OFFSET_QUANTUM >= 1.0:
-            whole, steps = whole + 1, 0
-        return whole % self.k, steps * OFFSET_QUANTUM * self.sector
-
     def _table_entries(self, phi, dist, base):
         """Sector ``m``, ``A`` and ``B`` of pixels at offset ``base``.
 
@@ -231,7 +234,7 @@ class RadialGrid:
         if radii.shape[-1] != self.k:
             raise ValueError(
                 f"radii length {radii.shape[-1]} does not match grid k={self.k}")
-        shift, base = self.split_rotation(theta)
+        shift, base = split_rotation(theta, self.k)
         m, coef_a, coef_b = self._sector_table(base)
         inv = 1.0 / radii
         if shift:

@@ -129,6 +129,18 @@ def learn(dataset, config=None):
     searchers = [scene_searchers(pair.scene, model.k, config.evolution)
                  for pair in dataset]
 
+    # the model scored is always the one built from ``counts`` and evolve is
+    # deterministic, so revisited (pair, counts) states are scored once
+    energies = {}
+
+    def energy_for(pair_index, pair_model):
+        key = (pair_index, counts.tobytes())
+        if key not in energies:
+            energies[key] = terminated_energy(dataset[pair_index], pair_model,
+                                              config.evolution,
+                                              searchers[pair_index])
+        return energies[key]
+
     # manifest offsets of each pair's examples
     offsets = []
     pos = 0
@@ -140,16 +152,13 @@ def learn(dataset, config=None):
     for cycle in range(config.max_cycles):
         committed_this_cycle = 0
         for pair_index, pair in enumerate(dataset):
-            e_current = terminated_energy(pair, model, config.evolution,
-                                          searchers[pair_index])
+            e_current = energy_for(pair_index, model)
             for local_index in range(len(pair.shapes)):
                 global_index = offsets[pair_index] + local_index
                 for _ in range(config.max_tries_per_example):
                     counts[global_index] += 1
                     trial_model = model_for(counts)
-                    e_trial = terminated_energy(pair, trial_model,
-                                                config.evolution,
-                                                searchers[pair_index])
+                    e_trial = energy_for(pair_index, trial_model)
                     if e_trial < e_current:
                         model = trial_model
                         history.append(WeightUpdate(

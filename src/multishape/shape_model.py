@@ -101,11 +101,18 @@ class ShapeModel:
 def sample_shape_vector(mask, centroid, k=DEFAULT_K):
     """Sample the radial shape vector of a mask about a centroid.
 
-    Walks each of the k rays in half-pixel steps until it passes the mask's
-    bounding-box corner farthest from the centroid, beyond which no sample
-    can hit foreground, and records the distance of the farthest foreground
-    sample, i.e. the outermost foreground-to-background transition.  Every
-    returned entry is strictly positive.
+    Ray i samples the points ``centroid + RAY_STEP * s * (cos, sin)`` of
+    its angle at steps s = 1, 2, ... and records the distance of its
+    farthest foreground sample, i.e. the outermost foreground-to-background
+    transition.  A sample past the ray's exit from the mask's bounding box
+    ``[x0, x1) x [y0, y1)`` lies on a pixel outside the box, so it cannot
+    hit foreground: each ray starts at step ``ceil(exit / RAY_STEP) + 1``
+    (one step of slack for rounding) and walks inward.  The exit is never
+    farther than the box corner farthest from the centroid.  The walk runs
+    in blocks of doubling length over the rays not yet resolved, and a ray
+    is resolved at its first foreground sample, which is its farthest one.
+    Every returned entry is strictly positive; a ray with no foreground
+    sample raises :class:`DegenerateMask`, naming the lowest such ray.
     """
     mask = np.asarray(mask, dtype=bool)
     if k < 3:
@@ -117,30 +124,45 @@ def sample_shape_vector(mask, centroid, k=DEFAULT_K):
         raise CentroidOutsideMask(f"centroid ({cx}, {cy}) is not on foreground")
 
     angles = TWO_PI * np.arange(k) / k
+    cos, sin = np.cos(angles), np.sin(angles)
     cols = np.flatnonzero(mask.any(axis=0))
     rows = np.flatnonzero(mask.any(axis=1))
-    far = np.hypot(max(cx - cols[0], cols[-1] + 1 - cx),
-                   max(cy - rows[0], rows[-1] + 1 - cy))
-    # samples past the farthest box corner cannot hit foreground; that
-    # corner is never farther than the canvas diagonal
-    count = min(np.ceil(far / RAY_STEP),
-                np.ceil(np.hypot(width, height) / RAY_STEP))
-    steps = np.arange(1, int(count) + 1)
-    t = RAY_STEP * steps
-    x = cx + np.cos(angles)[:, None] * t[None, :]
-    y = cy + np.sin(angles)[:, None] * t[None, :]
-    ix = np.floor(x).astype(np.int64)
-    iy = np.floor(y).astype(np.int64)
-    valid = (ix >= 0) & (ix < width) & (iy >= 0) & (iy < height)
-    hit = np.zeros_like(valid)
-    hit[valid] = mask[iy[valid], ix[valid]]
-    # farthest foreground sample per ray; rays never re-enter the canvas
-    any_hit = hit.any(axis=1)
-    if not any_hit.all():
-        bad = int(np.nonzero(~any_hit)[0][0])
+    x0, x1, y0, y1 = cols[0], cols[-1] + 1, rows[0], rows[-1] + 1
+    # slab distance at which each ray leaves the box; the centroid's pixel
+    # is in the box, so both are >= 0
+    exit_x = np.divide(np.where(cos > 0, x1 - cx, x0 - cx), cos,
+                       out=np.full(k, np.inf), where=cos != 0)
+    exit_y = np.divide(np.where(sin > 0, y1 - cy, y0 - cy), sin,
+                       out=np.full(k, np.inf), where=sin != 0)
+    top = (np.ceil(np.minimum(exit_x, exit_y) / RAY_STEP) + 1).astype(np.int64)
+    # every walked sample is less than a pixel (plus rounding) beyond the
+    # box, so a background margin of 2 holds all of their pixels
+    margin = 2
+    window = np.zeros((y1 - y0 + 2 * margin, x1 - x0 + 2 * margin),
+                      dtype=bool)
+    window[margin:-margin, margin:-margin] = mask[y0:y1, x0:x1]
+
+    radii = np.zeros(k)
+    active = np.arange(k)
+    block = 16
+    while active.size:
+        # steps top, top - 1, ... of each active ray; steps below 1 repeat
+        # step 1, which keeps the first hit (and its step) unchanged
+        steps = np.maximum(top[active, None] - np.arange(block), 1)
+        t = RAY_STEP * steps
+        ix = np.floor(cx + cos[active, None] * t).astype(np.int64)
+        iy = np.floor(cy + sin[active, None] * t).astype(np.int64)
+        hit = window[iy - (y0 - margin), ix - (x0 - margin)]
+        found = hit.any(axis=1)
+        first = np.argmax(hit[found], axis=1)
+        radii[active[found]] = t[found][np.arange(first.size), first]
+        top[active] -= block
+        active = active[~found & (top[active] >= 1)]
+        block *= 2
+    if not radii.all():
+        bad = int(np.flatnonzero(radii == 0)[0])
         raise DegenerateMask(f"ray {bad} found no foreground beyond the centroid")
-    last = hit.shape[1] - 1 - np.argmax(hit[:, ::-1], axis=1)
-    return t[last]
+    return radii
 
 
 def weighted_mean(example_set):
@@ -217,14 +239,17 @@ def clamp_coefficients(model, coeffs):
 def synthesize(model, coeffs, radius_floor=RADIUS_FLOOR):
     """Shape for a raw coefficient vector: mean + basis @ clip(coeffs).
 
-    Radii are floored at ``radius_floor`` so the synthesized polygon stays
-    simple and strictly positive.
+    ``coeffs`` may also be an ``(n, t)`` batch, giving one shape per row;
+    each row equals the shape of that row alone, bitwise.  Radii are
+    floored at ``radius_floor`` so the synthesized polygon stays simple and
+    strictly positive.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.shape != (model.t,):
+    if coeffs.ndim not in (1, 2) or coeffs.shape[-1] != model.t:
         raise DimensionMismatch(
             f"coefficient length {coeffs.shape} does not match t={model.t}")
-    shape = model.mean + model.basis @ clamp_coefficients(model, coeffs)
+    clipped = clamp_coefficients(model, coeffs)
+    shape = model.mean + np.matmul(model.basis, clipped[..., None])[..., 0]
     return np.maximum(shape, radius_floor)
 
 

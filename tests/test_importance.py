@@ -114,6 +114,26 @@ class TestLearn:
         assert h1 == h2
         assert np.array_equal(m1.mean, m2.mean)
 
+    def test_revisited_states_evolved_once(self, two_family_dataset,
+                                           monkeypatch):
+        # these settings revisit 12 (pair, weights) states in 61 scorings
+        cfg = ms.LearningConfig(step=0.5, max_tries_per_example=5,
+                                max_cycles=4, variance_threshold=0.5,
+                                evolution=quick_evolution())
+        expected = ms.learn(two_family_dataset, cfg)
+        runs = []
+        evolve = ms.importance.evolve
+
+        def counted(scene, model, *args):
+            runs.append((scene.scene_id, model.weights.tobytes()))
+            return evolve(scene, model, *args)
+
+        monkeypatch.setattr(ms.importance, "evolve", counted)
+        weights, model, history = ms.learn(two_family_dataset, cfg)
+        assert len(set(runs)) == len(runs)
+        assert np.array_equal(weights, expected[0])
+        assert history == expected[2]
+
     def test_two_family_learning(self, two_family_dataset):
         cfg = ms.LearningConfig(step=0.5, max_tries_per_example=4,
                                 max_cycles=3, variance_threshold=0.5,

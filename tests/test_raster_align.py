@@ -125,6 +125,33 @@ class TestRadialGrid:
         assert len(searcher.grid._tables) == theta_count // np.gcd(
             k, theta_count)
 
+    def test_searchers_share_one_rotation_plan(self):
+        k = 48
+        first = ms.AlignmentSearcher((20.0, 20.0), disk_mask((40, 40),
+                                     (20.0, 20.0), 9.0), k)
+        second = ms.AlignmentSearcher(
+            (31.5, 12.25), disk_mask((64, 32), (31.5, 12.25), 6.0), k,
+            ms.GridSearchConfig(r_min=0.5, r_step=0.1))
+        assert second._roll_index is first._roll_index
+        assert second._offset_rows is first._offset_rows
+        assert not first._roll_index.flags.writeable
+        assert not any(rows.flags.writeable
+                       for _, rows in first._offset_rows)
+        thetas = first.config.theta_values()
+        for base, rows in first._offset_rows:
+            for t in rows:
+                shift, own_base = ms.geometry.split_rotation(thetas[t], k)
+                assert own_base == base
+                assert np.array_equal(first._roll_index[t],
+                                      np.roll(np.arange(k), shift))
+        assert sorted(np.concatenate([rows for _, rows in
+                                      first._offset_rows])) == list(
+            range(thetas.size))
+        other = ms.AlignmentSearcher((20.0, 20.0), disk_mask((40, 40),
+                                     (20.0, 20.0), 9.0), k,
+                                     ms.GridSearchConfig(theta_count=36))
+        assert other._roll_index.shape == (36, k)
+
 
 BOUND_CASES = [(36, 8), (37, 8), (48, 72), (360, 72)]
 
@@ -148,7 +175,7 @@ class TestSearchBounds:
         rs = config.r_values()
         for radii in bound_radii(k):
             for theta in config.theta_values():
-                shift, base = grid.split_rotation(theta)
+                shift, base = ms.geometry.split_rotation(theta, k)
                 rolled = np.repeat(np.roll(radii, shift)[None, :], rs.size, 0)
                 bound = grid.area_bound(rolled, rs, base)
                 exact = np.count_nonzero(
@@ -221,7 +248,7 @@ class TestGridGrowth:
     @pytest.mark.parametrize("k", GROWTH_KS)
     def test_grown_tables_equal_full_grid(self, center, k):
         small, full = grid_pair(center, k)
-        bases = sorted({small.split_rotation(t)[1]
+        bases = sorted({ms.geometry.split_rotation(t, k)[1]
                         for t in ms.GridSearchConfig().theta_values()})
         # tables built before growth are extended, not rebuilt
         for base in bases[:2]:
@@ -248,7 +275,7 @@ class TestGridGrowth:
         for radii in bound_radii(k):
             rolled = np.repeat(np.roll(radii, 3)[None, :], rs.size, 0)
             fresh, _ = grid_pair(center, k)
-            base = fresh.split_rotation(0.3)[1]
+            base = ms.geometry.split_rotation(0.3, k)[1]
             want = full.area_bound(rolled, rs, base)
             assert np.array_equal(fresh.area_bound(rolled, rs, base), want)
             assert np.array_equal(small.area_bound(rolled, rs, base), want)

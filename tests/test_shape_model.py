@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import multishape as ms
 from conftest import disk_family_examples, disk_mask, ellipse_mask
@@ -75,6 +76,70 @@ class TestSampling:
         mask = disk_mask((48, 48), (24.0, 24.0), 7.0)
         radii = ms.sample_shape_vector(mask, (24.0, 24.0), 36)
         assert np.all(radii > 0)
+
+    def test_farthest_sample_on_box_edge(self):
+        # ray 1 (cos = -0.4999999999999998) reaches x = 0.0 exactly, the
+        # box's left edge, at step 7, while its computed exit distance is
+        # 6.999999999999999 steps: a walk that starts at floor(exit / step)
+        # misses the farthest hit
+        mask = np.zeros((10, 8), dtype=bool)
+        mask[2, 1] = mask[2, 2] = mask[5, 0] = True
+        centroid = (1.7499999999999991, 2.5)
+        radii = ms.sample_shape_vector(mask, centroid, 3)
+        assert radii[1] == 3.5
+        assert np.array_equal(radii, full_ray_walk(mask, centroid, 3,
+                                                   ms.shape_model.RAY_STEP))
+
+    def test_degenerate_names_lowest_ray(self):
+        # ray 2 runs out of steps within the first walk block, ray 0 (whose
+        # box exit is ~70 steps out) only in a later one
+        mask = np.zeros((12, 48), dtype=bool)
+        mask[6, 4] = True
+        mask[2:4, 30:40] = True
+        with pytest.raises(ms.DegenerateMask, match=r"^ray 0 found"):
+            ms.sample_shape_vector(mask, (4.5, 6.5), 8)
+
+    @staticmethod
+    @st.composite
+    def masks_and_centroids(draw):
+        """Blobs that may be detached or clipped at canvas edges and corners,
+        plus stray pixels, with a centroid anywhere on the foreground."""
+        width, height = draw(st.integers(1, 32)), draw(st.integers(1, 28))
+        mask = np.zeros((height, width), dtype=bool)
+        for _ in range(draw(st.integers(1, 3))):
+            x, y = draw(st.integers(-6, width)), draw(st.integers(-6, height))
+            w, h = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+            if draw(st.booleans()):
+                mask[max(y, 0):y + h, max(x, 0):x + w] = True
+            else:
+                mask |= disk_mask((width, height), (x + 0.5 * w, y + 0.5 * h),
+                                  0.5 * min(w, h))
+        for _ in range(draw(st.integers(0, 4))):
+            mask[draw(st.integers(0, height - 1)),
+                 draw(st.integers(0, width - 1))] = True
+        foreground = np.argwhere(mask)
+        if not foreground.size:
+            mask[0, 0] = True
+            foreground = np.argwhere(mask)
+        py, px = foreground[draw(st.integers(0, len(foreground) - 1))]
+        # px + offset must still floor to px
+        offset = st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.999)
+        centroid = (px + draw(offset), py + draw(offset))
+        return mask, centroid
+
+    @settings(max_examples=250, deadline=None, derandomize=True,
+              database=None)
+    @given(case=masks_and_centroids(), k=st.sampled_from([3, 37, 48, 360]))
+    def test_matches_full_walk_property(self, case, k):
+        mask, centroid = case
+        expected = full_ray_walk(mask, centroid, k, ms.shape_model.RAY_STEP)
+        if expected.all():
+            assert np.array_equal(ms.sample_shape_vector(mask, centroid, k),
+                                  expected)
+        else:
+            lowest = int(np.flatnonzero(expected == 0)[0])
+            with pytest.raises(ms.DegenerateMask, match=rf"^ray {lowest} "):
+                ms.sample_shape_vector(mask, centroid, k)
 
 
 class TestWeightedMean:
@@ -224,6 +289,26 @@ class TestSynthesize:
     def test_dimension_mismatch(self, small_model):
         with pytest.raises(ms.DimensionMismatch):
             ms.synthesize(small_model, np.zeros(small_model.t + 1))
+        with pytest.raises(ms.DimensionMismatch):
+            ms.synthesize(small_model, np.zeros((2, 3, small_model.t)))
+
+    def test_batch_rows_match_single_rows(self, small_model, tmp_path):
+        # a loaded model holds its basis transposed (Fortran order)
+        ms.save_model(small_model, tmp_path / "m.json")
+        loaded = ms.load_model(tmp_path / "m.json")
+        rng = np.random.default_rng(5)
+        for model in (small_model, loaded):
+            # some rows beyond the coefficient box, so clipping is covered
+            batch = rng.normal(size=(40, model.t)) * 2.0 * np.sqrt(
+                model.eigenvalues)
+            shapes = ms.synthesize(model, batch)
+            assert shapes.shape == (40, model.k)
+            for row, shape in zip(batch, shapes):
+                assert np.array_equal(ms.synthesize(model, row), shape)
+                # the plain matrix-vector product of one row
+                clipped = ms.clamp_coefficients(model, row)
+                assert np.array_equal(
+                    np.maximum(model.mean + model.basis @ clipped, 1.0), shape)
 
 
 class TestSerialization:
