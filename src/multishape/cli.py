@@ -70,6 +70,8 @@ def _load_scenes(path):
 
 
 def cmd_generate(args):
+    if args.count < 1:
+        raise ConfigError(f"--count must be at least 1, got {args.count}")
     # --seed outranks --generator.seed; RunConfig applies MULTISHAPE_SEED last
     overrides = dict(args.overrides or {})
     if args.seed is not None:
@@ -214,6 +216,8 @@ def _write_segmentation(scene, model, evolution_config, out_dir):
 
 
 def cmd_segment(args):
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = _config_from_args(args)
     if not os.path.exists(args.model):
         raise DatasetIOError(f"missing model file: {args.model}")
@@ -226,12 +230,12 @@ def cmd_segment(args):
         raise DatasetIOError(f"no scenes found in {args.dataset}")
     os.makedirs(args.out, exist_ok=True)
 
-    jobs = max(1, args.jobs)
-    if jobs == 1:
+    if args.jobs == 1:
         results = [_segment_scene(s, model, cfg.evolution, args.out)
                    for s in scenes]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=args.jobs) as pool:
             futures = [pool.submit(_segment_scene, s, model, cfg.evolution,
                                    args.out) for s in scenes]
             results = [f.result() for f in futures]

@@ -20,8 +20,20 @@ with d the pixel-center distance and a, b the sines of the angular offsets
 from the sector's first and second edge to the pixel.  A pixel lies in the
 filled region at scale r precisely when q <= r, which makes containment
 exactly monotone in r.  Since q >= d / max(radii), pixels beyond
-r * max(radii) plus a small rounding margin can never be inside; grid pixels
-are kept sorted by distance so such pixels can be skipped by slicing.
+r * max(radii) plus a small rounding margin can never be inside.
+
+The reach cut followed by the test q <= r is the package's single
+containment rule.  It is evaluated in one of two pixel orders, from the same
+elementwise pieces (:func:`polar_box`, :func:`polar_angle`,
+:func:`sector_entries`, :func:`sector_q`), so both give the same answer for
+every pixel:
+
+* a :class:`RadialGrid` keeps its pixels sorted by distance with their
+  tables, so repeated queries about one center skip far pixels by slicing.
+  The evolution engine's object masks and probes (:meth:`RadialGrid.inside`)
+  and the alignment search's area count use it;
+* :func:`box_mask` visits the pixels of the reach's bounding box once and
+  keeps nothing, for one-shot fills such as :func:`multishape.rasterize`.
 
 A grid covers only the distances asked of it.  It starts at an extent
 chosen by its caller and grows on demand whenever a query reaches past it,
@@ -39,10 +51,6 @@ one table per fractional offset and evaluates ``np.roll(radii, s)`` against
 it.  The T rotations 2*pi*t/T of the alignment search need T/gcd(K, T)
 tables, a single one whenever T divides K.
 
-The reach cut followed by the test q <= r is the package's single
-containment rule, :meth:`RadialGrid.inside`.  Rasterization, the evolution
-energy and its probes, and the alignment search's area count all use it.
-
 Two more bounds on q let the containment rule and the alignment search
 skip work without changing a single comparison.  With u the pixel's angular
 offset from its sector's first edge (so a = sin(u) and b = sin(S - u) for
@@ -52,11 +60,11 @@ lies between d and d / cos(pi/K).  Hence
     d / max(r[m], r[m + 1])  <=  q  <=  d / (min(radii) * cos(pi/K)),
 
 so pixels within r * min(radii) * cos(pi/K) are inside at every rotation
-(:meth:`RadialGrid.core_stop`), and a pixel of sector m can only be inside
-at scale r when d <= r * max(r[m], r[m + 1]), which per-sector distance
-counts turn into an upper bound on the area (:meth:`RadialGrid.area_bound`).
-:meth:`RadialGrid.inside` skips the same certified core: it evaluates q only
-on the annulus between the core and the reach.
+(:func:`core_distance`), and a pixel of sector m can only be inside at
+scale r when d <= r * max(r[m], r[m + 1]), which per-sector distance counts
+turn into an upper bound on the area (:meth:`RadialGrid.area_bound`).  Both
+pixel orders skip the certified core: they evaluate q only on the annulus
+between the core and the reach.
 """
 
 from __future__ import annotations
@@ -110,6 +118,119 @@ def split_rotation(theta, k):
     return whole % k, steps * OFFSET_QUANTUM * sector
 
 
+def core_distance(extent, k):
+    """Distance within which every pixel is inside, at every rotation.
+
+    ``extent`` is the scale times ``min(radii)``: q <= d / (min(radii) *
+    cos(pi/K)), so every pixel within ``extent * cos(pi/K)`` satisfies
+    q <= scale.  Elementwise for an array of extents.
+    """
+    return extent * np.cos(0.5 * (TWO_PI / k)) - BOUND_MARGIN
+
+
+def polar_box(center, dims, reach):
+    """Offsets and distances of the canvas pixels in a box about ``center``.
+
+    Returns ``(x0, y0, dx, dy, d)``: the box's first column and row, and
+    (rows, cols) arrays of the pixel centers' offsets from ``center`` and
+    their distances.  The box holds every canvas pixel within ``reach`` (it
+    is empty when there is none).  The offsets are materialized, so every
+    ufunc runs on contiguous arrays and evaluates a pixel identically in
+    every box that holds it.
+    """
+    (cx, cy), (width, height) = center, dims
+    x0 = max(int(np.floor(cx - reach)) - 1, 0)
+    x1 = min(int(np.ceil(cx + reach)) + 1, width)
+    y0 = max(int(np.floor(cy - reach)) - 1, 0)
+    y1 = min(int(np.ceil(cy + reach)) + 1, height)
+    # an empty range adds nothing (center far off the canvas)
+    xs = np.arange(x0, x1, dtype=np.float64) + 0.5
+    ys = np.arange(y0, y1, dtype=np.float64) + 0.5
+    dx = np.ascontiguousarray(np.broadcast_to(xs[None, :] - cx,
+                                              (ys.size, xs.size)))
+    dy = np.ascontiguousarray(np.broadcast_to(ys[:, None] - cy,
+                                              (ys.size, xs.size)))
+    return x0, y0, dx, dy, np.hypot(dx, dy)
+
+
+def polar_angle(dx, dy):
+    """Angle of the offsets ``(dx, dy)`` in [0, 2*pi), from the +x axis."""
+    phi = np.arctan2(dy, dx)
+    return np.where(phi < 0.0, phi + TWO_PI, phi)
+
+
+def sector_entries(phi, dist, base, k):
+    """Sector ``m``, ``A`` and ``B`` of pixels at offset ``base``.
+
+    Built elementwise, without reductions, so a pixel's entries do not
+    depend on which other pixels are evaluated with it.
+    """
+    sector = TWO_PI / k
+    phi_rel = np.mod(phi - base, TWO_PI)
+    m = (phi_rel / sector).astype(np.int32)
+    np.minimum(m, k - 1, out=m)
+    edge = sector * m
+    scale = dist / np.sin(sector)
+    coef_a = scale * np.sin(phi_rel - edge)
+    coef_b = scale * np.sin((edge + sector) - phi_rel)
+    return m, coef_a, coef_b
+
+
+def sector_q(radii, shift, m, coef_a, coef_b):
+    """q of the pixels with table entries ``(m, coef_a, coef_b)``.
+
+    ``radii`` is a (k,) vector or an (n, k) batch, rolled here by the
+    whole-sector ``shift`` of the rotation whose fractional offset the
+    entries were built at.  The result has shape (p,) or (n, p).
+    """
+    inv = 1.0 / radii
+    if shift:
+        inv = np.roll(inv, shift, axis=-1)
+    # inv[..., 1:][m] is the sector's second vertex, m + 1 mod K
+    inv = np.concatenate([inv, inv[..., :1]], axis=-1)
+    q = np.take(inv[..., 1:], m, axis=-1)
+    q *= coef_a
+    term = np.take(inv, m, axis=-1)
+    term *= coef_b
+    q += term
+    return q
+
+
+def box_mask(center, dims, radii, r, theta):
+    """(height, width) mask of the shape at scale ``r``, rotation ``theta``.
+
+    The pixels are those of ``RadialGrid(center, dims, k, r *
+    max(radii)).mask(radii, r, theta)``, decided by the same rule on the
+    same values: pixels within the core are inside, and q is evaluated
+    only on the annulus out to the reach.  The pixels are visited in a box
+    about the center, so nothing is sorted or kept.
+    """
+    width, height = int(dims[0]), int(dims[1])
+    if width <= 0 or height <= 0:
+        raise ValueError("canvas dims must be positive")
+    center = (float(center[0]), float(center[1]))
+    radii = np.asarray(radii, dtype=np.float64)
+    k = radii.size
+    reach = r * float(radii.max()) + REACH_MARGIN
+    core = core_distance(r * float(radii.min()), k)
+    x0, y0, dx, dy, d = polar_box(center, (width, height), reach)
+    inside = d <= core
+    ring = d <= reach
+    ring &= ~inside
+    if ring.any():
+        shift, base = split_rotation(theta, k)
+        table = sector_entries(polar_angle(dx[ring], dy[ring]), d[ring],
+                               base, k)
+        inside[ring] = sector_q(radii, shift, *table) <= r
+        del table
+    rows, cols = inside.shape
+    # the canvas is allocated only once the box's float arrays are freed
+    del dx, dy, d, ring
+    out = np.zeros((height, width), dtype=bool)
+    out[y0:y0 + rows, x0:x0 + cols] = inside
+    return out
+
+
 class RadialGrid:
     """Per-pixel polar lookup tables around one center point.
 
@@ -139,9 +260,6 @@ class RadialGrid:
         self.center = (float(center[0]), float(center[1]))
         self.dims = (width, height)
         self.k = int(k)
-        self.sector = TWO_PI / self.k
-        self._sin_sector = np.sin(self.sector)
-        self._cos_half_sector = np.cos(0.5 * self.sector)
         self._tables: dict[float, tuple] = {}
         self._counts: dict[float, np.ndarray] = {}
         self.reach = -np.inf
@@ -152,27 +270,13 @@ class RadialGrid:
 
     def _grow(self, reach):
         """Append the canvas pixels beyond the built reach, up to ``reach``."""
-        (cx, cy), (width, height) = self.center, self.dims
-        x0 = max(int(np.floor(cx - reach)) - 1, 0)
-        x1 = min(int(np.ceil(cx + reach)) + 1, width)
-        y0 = max(int(np.floor(cy - reach)) - 1, 0)
-        y1 = min(int(np.ceil(cy + reach)) + 1, height)
-        # an empty range adds nothing (center far off the canvas)
-        xs = np.arange(x0, x1, dtype=np.float64) + 0.5
-        ys = np.arange(y0, y1, dtype=np.float64) + 0.5
-        # materialized grids keep every ufunc on contiguous arrays,
-        # which evaluates elementwise-identically across grid extents
-        dx = np.ascontiguousarray(np.broadcast_to(xs[None, :] - cx,
-                                                  (ys.size, xs.size)))
-        dy = np.ascontiguousarray(np.broadcast_to(ys[:, None] - cy,
-                                                  (ys.size, xs.size)))
-        d = np.hypot(dx, dy)
+        width, height = self.dims
+        x0, y0, dx, dy, d = polar_box(self.center, self.dims, reach)
         keep = (d > self.reach) & (d <= reach)
         yy, xx = np.nonzero(keep)
         flat_index = (yy + y0) * width + (xx + x0)
         dist = d[keep]
-        phi = np.arctan2(dy[keep], dx[keep])
-        phi = np.where(phi < 0.0, phi + TWO_PI, phi)
+        phi = polar_angle(dx[keep], dy[keep])
         # np.nonzero is row-major, so flat_index is ascending and a stable
         # sort breaks distance ties by flat index
         order = np.argsort(dist, kind="stable")
@@ -181,11 +285,11 @@ class RadialGrid:
         self.dist = np.concatenate([self.dist, dist])
         self._phi = np.concatenate([self._phi, phi])
         for base, table in self._tables.items():
-            self._tables[base] = tuple(
-                np.concatenate(pair)
-                for pair in zip(table, self._table_entries(phi, dist, base)))
+            grown = sector_entries(phi, dist, base, self.k)
+            self._tables[base] = tuple(np.concatenate(pair)
+                                       for pair in zip(table, grown))
         self._counts.clear()
-        whole = (x1 - x0, y1 - y0) == (width, height)
+        whole = d.shape == (height, width)
         self.reach = np.inf if whole and d.max() <= reach else reach
 
     def cover(self, distance):
@@ -197,26 +301,11 @@ class RadialGrid:
     def size(self):
         return self.dist.size
 
-    def _table_entries(self, phi, dist, base):
-        """Sector ``m``, ``A`` and ``B`` of pixels at offset ``base``.
-
-        Built elementwise, without reductions, so a pixel's entries do not
-        depend on the grid's extent.
-        """
-        phi_rel = np.mod(phi - base, TWO_PI)
-        m = (phi_rel / self.sector).astype(np.int32)
-        np.minimum(m, self.k - 1, out=m)
-        edge = self.sector * m
-        scale = dist / self._sin_sector
-        coef_a = scale * np.sin(phi_rel - edge)
-        coef_b = scale * np.sin((edge + self.sector) - phi_rel)
-        return m, coef_a, coef_b
-
     def _sector_table(self, base):
         """Per-pixel table at offset ``base``, extended as the grid grows."""
         table = self._tables.get(base)
         if table is None:
-            table = self._table_entries(self._phi, self.dist, base)
+            table = sector_entries(self._phi, self.dist, base, self.k)
             self._tables[base] = table
         return table
 
@@ -236,18 +325,7 @@ class RadialGrid:
                 f"radii length {radii.shape[-1]} does not match grid k={self.k}")
         shift, base = split_rotation(theta, self.k)
         m, coef_a, coef_b = self._sector_table(base)
-        inv = 1.0 / radii
-        if shift:
-            inv = np.roll(inv, shift, axis=-1)
-        # inv[..., 1:][m] is the sector's second vertex, m + 1 mod K
-        inv = np.concatenate([inv, inv[..., :1]], axis=-1)
-        sector = m[index]
-        q = np.take(inv[..., 1:], sector, axis=-1)
-        q *= coef_a[index]
-        term = np.take(inv, sector, axis=-1)
-        term *= coef_b[index]
-        q += term
-        return q
+        return sector_q(radii, shift, m[index], coef_a[index], coef_b[index])
 
     def inside(self, radii, r, theta):
         """Which grid pixels the shape scaled by ``r`` contains.
@@ -280,7 +358,7 @@ class RadialGrid:
         ``extent * cos(pi/K)`` satisfies q <= scale whatever the rotation,
         so the first ``core_stop`` pixels are inside without evaluation.
         """
-        core = extent * self._cos_half_sector - BOUND_MARGIN
+        core = core_distance(extent, self.k)
         self.cover(np.max(core))
         return np.searchsorted(self.dist, core, side="right")
 

@@ -7,18 +7,25 @@ even-odd rule, counting pixel centers that land exactly on an edge as
 inside.  Because the polygon's boundary is single-valued in the polar angle
 (positive radii at strictly increasing angles), that fill equals the set of
 pixel centers whose distance to the centroid does not exceed the boundary
-chord at their angle, which is how it is computed here; geometry outside the
-canvas is clipped.
+chord at their angle.
+
+That is the package's one containment rule (see :mod:`multishape.geometry`).
+:func:`rasterize` is a one-shot fill, so it evaluates the rule with
+:func:`multishape.geometry.box_mask` over the bounding box of the shape's
+reach, clipped to the canvas, and keeps nothing; its mask equals, pixel for
+pixel, the one a distance-sorted :class:`multishape.geometry.RadialGrid`
+gives for the same shape.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput
-from .geometry import RadialGrid
+from .geometry import box_mask
 
 
 @dataclass(frozen=True)
@@ -29,20 +36,24 @@ class Alignment:
     theta: float = 0.0
 
     def __post_init__(self):
-        if self.r <= 0:
-            raise ValueError("scale must be positive")
+        if not (math.isfinite(self.r) and self.r > 0):
+            raise ValueError(
+                f"scale must be finite and positive, got {self.r}")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"rotation must be finite, got {self.theta}")
 
 
 def rasterize(radii, centroid, alignment, dims):
     """Fill the radial shape at the centroid into a (height, width) mask."""
     radii = np.asarray(radii, dtype=np.float64)
+    if radii.ndim != 1 or radii.size < 3:
+        raise ValueError("radii must be a vector of at least 3 values, "
+                         f"got shape {radii.shape}")
+    if not np.all(np.isfinite(radii)):
+        raise ValueError("radii must be finite")
     if np.any(radii <= 0):
         raise ValueError("radii must be strictly positive")
-    width, height = int(dims[0]), int(dims[1])
-    grid = RadialGrid(centroid, (width, height), radii.size,
-                      alignment.r * float(radii.max()))
-    mask = grid.mask(radii, alignment.r, alignment.theta)
-    return mask.reshape(height, width)
+    return box_mask(centroid, dims, radii, alignment.r, alignment.theta)
 
 
 def union(masks):

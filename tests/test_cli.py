@@ -65,6 +65,15 @@ class TestGenerate:
                     + SMALL_ARGS)
         assert code == 3
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_non_positive_count_exit2(self, tmp_path, capsys, count):
+        out = tmp_path / "d"
+        code = main(["generate", "--out", str(out), "--count", count]
+                    + SMALL_ARGS)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:config: --count")
+        assert not out.exists()
+
     def test_env_seed_override(self, tmp_path, monkeypatch):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -290,6 +299,17 @@ class TestSegment:
                      "--dataset", str(tmp_path), "--out",
                      str(tmp_path / "o")])
         assert code == 3
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_non_positive_jobs_exit2(self, tmp_path, capsys, jobs):
+        # checked before the (missing) model is read, which would exit 3
+        out = tmp_path / "o"
+        code = main(["segment", "--model", str(tmp_path / "none.json"),
+                     "--dataset", str(tmp_path), "--out", str(out),
+                     "--jobs", jobs])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:config: --jobs")
+        assert not out.exists()
 
     def test_k_mismatch_exit2(self, tmp_path, capsys):
         data, model, _, _ = run_pipeline(tmp_path, "k")

@@ -90,6 +90,91 @@ class TestRasterize:
         assert np.array_equal(mask, oracle)
 
 
+def grid_mask(radii, centroid, r, theta, dims):
+    """The shape's mask from a distance-sorted grid at full extent."""
+    grid = ms.geometry.RadialGrid(centroid, dims, len(radii),
+                                  r * float(np.max(radii)))
+    return grid.mask(radii, r, theta).reshape(dims[1], dims[0])
+
+
+def canvas_coordinate(size):
+    """Coordinates off the canvas, on its edges, on pixel centers or
+    corners, or anywhere."""
+    return st.one_of(st.floats(-10.0, size + 10.0),
+                     st.sampled_from([0.0, float(size)]),
+                     st.integers(-3, size + 3).map(float),
+                     st.integers(-3, size + 3).map(lambda i: i + 0.5))
+
+
+class TestBoxRaster:
+    """The one-shot box fill is the sorted grid's mask, bitwise."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data(), k=st.sampled_from([3, 4, 12, 37, 48, 360]),
+           centroid=st.tuples(canvas_coordinate(32), canvas_coordinate(28)),
+           r=st.floats(0.3, 2.0),
+           theta=st.one_of(st.floats(-7.0, 7.0),
+                           st.integers(-72, 143).map(
+                               lambda t: 2 * np.pi * t / 72)))
+    def test_matches_radial_grid_property(self, data, k, centroid, r, theta):
+        radii = np.asarray(data.draw(st.lists(st.floats(0.5, 12.0),
+                                              min_size=k, max_size=k)))
+        mask = ms.rasterize(radii, centroid, ms.Alignment(r=r, theta=theta),
+                            (32, 28))
+        assert mask.shape == (28, 32)
+        assert np.array_equal(mask, grid_mask(radii, centroid, r, theta,
+                                              (32, 28)))
+
+    def test_lattice_aligned_edges_match_radial_grid(self):
+        # vertices and edges through pixel centers, where q rounds either
+        # way of r: both pixel orders must round alike
+        cases = 0
+        for k in (3, 4, 6, 8, 12):
+            for radius in (2.0, 3.5, 4.0, 5.0):
+                for centroid in ((16.5, 16.5), (16.0, 16.0),
+                                 (10.5, 20.5), (20.0, 11.0)):
+                    for theta in (0.0, np.pi / 4, np.pi / 2, np.pi):
+                        radii = np.full(k, radius)
+                        mask = ms.rasterize(radii, centroid,
+                                            ms.Alignment(theta=theta),
+                                            (32, 32))
+                        want = grid_mask(radii, centroid, 1.0, theta,
+                                         (32, 32))
+                        assert np.array_equal(mask, want), (k, radius,
+                                                            centroid, theta)
+                        cases += 1
+        assert cases == 320
+
+    def test_center_far_off_canvas(self):
+        radii = np.full(12, 3.0)
+        mask = ms.rasterize(radii, (-50.0, 90.0), ms.Alignment(), (20, 10))
+        assert mask.shape == (10, 20) and not mask.any()
+
+    @pytest.mark.parametrize("radii, problem", [
+        ([4.0, np.nan, 4.0, 4.0], "finite"),
+        ([4.0, np.inf, 4.0, 4.0], "finite"),
+        ([4.0, -np.inf, 4.0, 4.0], "finite"),
+        (np.full((2, 4), 4.0), "vector"),
+        ([4.0, 4.0], "at least 3"),
+        (4.0, "vector"),
+        ([4.0, 0.0, 4.0], "positive"),
+        ([4.0, -1.0, 4.0], "positive"),
+    ])
+    def test_bad_radii_named(self, radii, problem):
+        with pytest.raises(ValueError, match=problem):
+            ms.rasterize(radii, (8.0, 8.0), ms.Alignment(), (16, 16))
+
+    @pytest.mark.parametrize("fields, problem", [
+        (dict(r=np.nan), "scale"), (dict(r=np.inf), "scale"),
+        (dict(r=0.0), "scale"), (dict(r=-1.0), "scale"),
+        (dict(theta=np.nan), "rotation"), (dict(theta=-np.inf), "rotation"),
+    ])
+    def test_bad_alignment_named(self, fields, problem):
+        with pytest.raises(ValueError, match=problem):
+            ms.Alignment(**fields)
+
+
 class TestRadialGrid:
     @pytest.mark.parametrize("k", [37, 360])
     def test_whole_sector_rotation_is_roll(self, k):
