@@ -20,14 +20,15 @@ and rotations that can matter:
 1. **Settled rotations leave the background scan.**  The feasible scales of
    rotation t are the grid scales below its minimum q over background
    pixels.  Since q >= d / max(radii), background pixels beyond
-   ``min(min_t, r_max) * max(radii)`` plus the reach margin have q above
-   the running minimum or above every grid scale, so once the outward scan
-   passes that distance the rotation's feasible scales are final.  The
-   polar grid grows only when a rotation still reaches past it.
+   ``reach_distance(min(min_t, r_max) * max(radii))`` have q above the
+   running minimum or above every grid scale (its BOUND_MARGIN exceeds the
+   rounding and closure of q), so once the outward scan passes that
+   distance the rotation's feasible scales are final.  The polar grid
+   grows only when a rotation still reaches past it.
 2. **Only the annulus of the top rotations is counted.**  The rotations
    whose largest feasible scale r is the largest of all share r.  Since
    q <= d / (min(radii) * cos(pi/K)), pixels within
-   ``r * min(radii) * cos(pi/K)`` (less a rounding margin) are inside at
+   ``r * min(radii) * cos(pi/K)`` (less BOUND_MARGIN) are inside at
    every rotation, and pixels past the reach of r are outside, so one
    ``searchsorted`` counts the core and only the annulus between is
    evaluated.
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CentroidOutsideMask
-from .geometry import REACH_MARGIN, TWO_PI, RadialGrid, split_rotation
+from .geometry import TWO_PI, RadialGrid, reach_distance, split_rotation
 from .raster import Alignment
 
 # Largest pixel block evaluated for all rotations at once; bounds the
@@ -173,12 +174,12 @@ class AlignmentSearcher:
         """Certified per-rotation minimum containment value over background.
 
         Background pixels are scanned outward in growing chunks.  Rotation t
-        is settled once the scan passes the distance ``min(min_t, cap) *
-        max_s + REACH_MARGIN``: farther pixels have q above its running
-        minimum ``min_t`` or above ``cap``, the largest scale of interest,
-        so they can change no comparison against the scale grid.  Settled
-        rotations drop out of the batch and the scan stops when every
-        rotation has settled.  The grid grows only when the scan has passed
+        is settled once the scan passes ``reach_distance(min(min_t, cap) *
+        max_s)``: farther pixels have q above its running minimum ``min_t``
+        or above ``cap``, the largest scale of interest, as BOUND_MARGIN
+        exceeds the rounding and closure of q, so they can change no
+        comparison against the scale grid.  Settled rotations drop out of
+        the batch and the scan stops when every rotation has settled.  The grid grows only when the scan has passed
         every built pixel and some rotation still reaches beyond them.  A
         minimum above ``cap`` is not exact, but it stays above ``cap``.
         """
@@ -187,7 +188,7 @@ class AlignmentSearcher:
         start = 0
         chunk = 256
         while True:
-            reach = np.minimum(minimum, cap) * max_s + REACH_MARGIN
+            reach = reach_distance(np.minimum(minimum, cap) * max_s)
             farthest = float(reach.max())
             positions, dist = self._bg_positions, self.grid.dist
             if start == positions.size:

@@ -86,13 +86,12 @@ def cmd_generate(args):
 
 def _select_fold(scenes, fold, folds, invert):
     if folds is None:
+        if fold is not None or invert:
+            raise ConfigError("--fold and --invert need --folds")
         return scenes
     if fold is None or not 0 <= fold < folds:
         raise ConfigError(f"--fold must be in [0, {folds})")
-    chosen = [s for i, s in enumerate(scenes) if i % folds == fold]
-    if invert:
-        chosen = [s for i, s in enumerate(scenes) if i % folds != fold]
-    return chosen
+    return [s for i, s in enumerate(scenes) if (i % folds == fold) != invert]
 
 
 def _sample_examples(scenes, k, step):
@@ -230,12 +229,14 @@ def cmd_segment(args):
         raise DatasetIOError(f"no scenes found in {args.dataset}")
     os.makedirs(args.out, exist_ok=True)
 
-    if args.jobs == 1:
+    # at most one worker per scene; fork starts them all at the first submit
+    workers = min(args.jobs, len(scenes))
+    if workers == 1:
         results = [_segment_scene(s, model, cfg.evolution, args.out)
                    for s in scenes]
     else:
         with concurrent.futures.ProcessPoolExecutor(
-                max_workers=args.jobs) as pool:
+                max_workers=workers) as pool:
             futures = [pool.submit(_segment_scene, s, model, cfg.evolution,
                                    args.out) for s in scenes]
             results = [f.result() for f in futures]

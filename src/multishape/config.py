@@ -29,30 +29,18 @@ def _coerce(key, default, value):
     """Parse ``value`` to the type of the key's default."""
     kind = type(default)
     try:
-        if kind is bool:
-            if isinstance(value, bool):
-                return value
-            if isinstance(value, str):
-                if value.lower() in ("1", "true", "yes", "on"):
-                    return True
-                if value.lower() in ("0", "false", "no", "off"):
-                    return False
+        # a JSON true/false is no number, alone or as a pair element
+        elements = value if isinstance(value, (list, tuple)) else [value]
+        if any(isinstance(element, bool) for element in elements):
             raise ValueError(value)
-        if kind is int:
-            if isinstance(value, bool):
-                raise ValueError(value)
-            return int(value)
-        if kind is float:
-            return float(value)
-        # pairs take the element type of the default's first element
-        if isinstance(value, str):
-            parts = [p.strip() for p in value.split(",")]
-        else:
-            parts = list(value)
+        if kind in (int, float):
+            return kind(value)
+        # pairs take the element type of the default's first element; int
+        # and float ignore the spaces around a comma
+        parts = value.split(",") if isinstance(value, str) else list(value)
         if len(parts) != 2:
             raise ValueError(value)
-        elem = type(default[0])
-        return (elem(parts[0]), elem(parts[1]))
+        return tuple(map(type(default[0]), parts))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for key {key!r}: {value!r}") from exc
 

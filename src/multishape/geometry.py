@@ -19,12 +19,13 @@ radii of the sector's two vertices (indices mod K), and
 with d the pixel-center distance and a, b the sines of the angular offsets
 from the sector's first and second edge to the pixel.  A pixel lies in the
 filled region at scale r precisely when q <= r, which makes containment
-exactly monotone in r.  Since q >= d / max(radii), pixels beyond
-r * max(radii) plus a small rounding margin can never be inside.
+exactly monotone in r.  The region is closed: a pixel center on an edge or
+vertex has q == r and is inside.  Its computed q could round either way of
+r, so :func:`sector_entries` scales every q down by EDGE_CLOSURE.
 
-The reach cut followed by the test q <= r is the package's single
-containment rule.  It is evaluated in one of two pixel orders, from the same
-elementwise pieces (:func:`polar_box`, :func:`polar_angle`,
+The test q <= r is the package's single containment rule, and BOUND_MARGIN
+its single distance slack.  It is evaluated in one of two pixel orders, from
+the same elementwise pieces (:func:`polar_box`, :func:`polar_angle`,
 :func:`sector_entries`, :func:`sector_q`), so both give the same answer for
 every pixel:
 
@@ -64,7 +65,11 @@ so pixels within r * min(radii) * cos(pi/K) are inside at every rotation
 scale r when d <= r * max(r[m], r[m + 1]), which per-sector distance counts
 turn into an upper bound on the area (:meth:`RadialGrid.area_bound`).  Both
 pixel orders skip the certified core: they evaluate q only on the annulus
-between the core and the reach.
+between the core and the reach r * max(radii) (:func:`reach_distance`).
+Every bound is widened by BOUND_MARGIN, which suffices: rounding (~1e-14
+relative, times 1/sin(2*pi/K) through the angle) and EDGE_CLOSURE move q by
+a few times 1e-12 relative, under 1e-7 px of distance on canvases up to
+10^4 px.
 """
 
 from __future__ import annotations
@@ -75,14 +80,13 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-# Pixels farther than scale * max(radii) + REACH_MARGIN from the center can
-# never satisfy q <= scale; the margin absorbs floating-point rounding.
-REACH_MARGIN = 2.0
-
-# Distance slack of the two bounds of q above.  Computed q deviates from the
-# exact value by ~1e-14 relative (amplified by 1/sin(2*pi/K) through the
-# angle), far below this margin at any canvas size in use.
+# The one distance slack of every bound on q (see the module docstring).
 BOUND_MARGIN = 1e-6
+
+# Factor on every q.  A pixel center on an edge or vertex has exact q == r,
+# which computed q rounds either way without the factor; with it, such
+# pixels are inside, and only pixels within 1e-12 relative of an edge turn.
+EDGE_CLOSURE = 1.0 - 1e-12
 
 # A grid asked past its reach grows to at least GROWTH times that reach.
 # Any factor above 1 makes the reaches grow geometrically, so the box work
@@ -128,6 +132,12 @@ def core_distance(extent, k):
     return extent * np.cos(0.5 * (TWO_PI / k)) - BOUND_MARGIN
 
 
+def reach_distance(extent):
+    """Distance past which q > scale, for ``extent`` = scale * max(radii),
+    since q >= d / max(radii).  Elementwise for an array of extents."""
+    return np.add(extent, BOUND_MARGIN)
+
+
 def polar_box(center, dims, reach):
     """Offsets and distances of the canvas pixels in a box about ``center``.
 
@@ -170,7 +180,7 @@ def sector_entries(phi, dist, base, k):
     m = (phi_rel / sector).astype(np.int32)
     np.minimum(m, k - 1, out=m)
     edge = sector * m
-    scale = dist / np.sin(sector)
+    scale = dist * (EDGE_CLOSURE / np.sin(sector))
     coef_a = scale * np.sin(phi_rel - edge)
     coef_b = scale * np.sin((edge + sector) - phi_rel)
     return m, coef_a, coef_b
@@ -211,7 +221,7 @@ def box_mask(center, dims, radii, r, theta):
     center = (float(center[0]), float(center[1]))
     radii = np.asarray(radii, dtype=np.float64)
     k = radii.size
-    reach = r * float(radii.max()) + REACH_MARGIN
+    reach = reach_distance(r * float(radii.max()))
     core = core_distance(r * float(radii.min()), k)
     x0, y0, dx, dy, d = polar_box(center, (width, height), reach)
     inside = d <= core
@@ -236,7 +246,7 @@ class RadialGrid:
 
     Holds every canvas pixel whose center lies within ``reach`` of the
     center, ordered by increasing distance (ties by flat index).  The grid
-    starts at ``extent`` plus ``REACH_MARGIN`` and grows on demand: every
+    starts at ``reach_distance(extent)`` and grows on demand: every
     query past the built reach (:meth:`reach_stop`, :meth:`core_stop`,
     :meth:`area_bound`, or an explicit :meth:`cover`) first appends the
     pixels out to the larger of what it needs and ``GROWTH`` times the
@@ -248,7 +258,8 @@ class RadialGrid:
     The tables are shape independent: one grid serves any radii vector of
     length ``k`` at any rotation.  They are built once per fractional
     sector offset of the rotation (see :func:`split_rotation`); whole
-    sectors of rotation are a roll of the radii.
+    sectors of rotation are a roll of the radii.  Every query applies the
+    one closed rule q <= r, with BOUND_MARGIN as its only distance slack.
     """
 
     def __init__(self, center, dims, k, extent):
@@ -266,7 +277,7 @@ class RadialGrid:
         self.flat_index = np.zeros(0, dtype=np.intp)
         self.dist = np.zeros(0)
         self._phi = np.zeros(0)
-        self._grow(float(extent) + REACH_MARGIN)
+        self._grow(reach_distance(float(extent)))
 
     def _grow(self, reach):
         """Append the canvas pixels beyond the built reach, up to ``reach``."""
@@ -330,10 +341,11 @@ class RadialGrid:
     def inside(self, radii, r, theta):
         """Which grid pixels the shape scaled by ``r`` contains.
 
-        Pixels beyond ``r * max(radii) + REACH_MARGIN`` are never inside and
-        the first ``lo = core_stop(r * min(radii))`` pixels always are, so
-        only the annulus between is tested.  Returns ``(lo, stop, inside)``
-        with ``inside`` of shape (stop - lo,) for a (k,) radii vector or
+        Pixels beyond ``reach_distance(r * max(radii))`` are never inside
+        and the first ``lo = core_stop(r * min(radii))`` pixels always are,
+        as BOUND_MARGIN exceeds the rounding and closure of q, so only the
+        annulus between is tested, by the closed rule q <= r.  Returns
+        ``(lo, stop, inside)`` with ``inside`` of shape (stop - lo,) for a (k,) radii vector or
         (n, stop - lo) for an (n, k) batch, whose core and reach are set by
         its smallest and largest entries.
         """
@@ -343,11 +355,13 @@ class RadialGrid:
         return lo, stop, self.q_values(radii, theta, slice(lo, stop)) <= r
 
     def reach_stop(self, extent):
-        """Number of grid pixels within ``extent + REACH_MARGIN``.
+        """Number of grid pixels within ``reach_distance(extent)``.
 
-        Elementwise for an array of extents.
+        ``extent`` is the scale times ``max(radii)``; every later pixel has
+        q above the scale, since BOUND_MARGIN exceeds the rounding and
+        closure of q.  Elementwise for an array of extents.
         """
-        reach = np.add(extent, REACH_MARGIN)
+        reach = reach_distance(extent)
         self.cover(np.max(reach))
         return np.searchsorted(self.dist, reach, side="right")
 
@@ -394,9 +408,8 @@ class RadialGrid:
         pixel of sector m up to that distance's bin is counted.
         """
         ring = np.concatenate([radii, radii[:, :1]], axis=-1)
-        reach = np.maximum(ring[:, :-1], ring[:, 1:])
-        reach *= np.asarray(r)[:, None]
-        reach += BOUND_MARGIN
+        reach = reach_distance(np.maximum(ring[:, :-1], ring[:, 1:])
+                               * np.asarray(r)[:, None])
         # the bin index of reach, plus one: bins up to and including it
         j = (reach / SECTOR_BIN).astype(np.intp)
         j += 1

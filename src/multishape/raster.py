@@ -10,11 +10,8 @@ pixel centers whose distance to the centroid does not exceed the boundary
 chord at their angle.
 
 That is the package's one containment rule (see :mod:`multishape.geometry`).
-:func:`rasterize` is a one-shot fill, so it evaluates the rule with
-:func:`multishape.geometry.box_mask` over the bounding box of the shape's
-reach, clipped to the canvas, and keeps nothing; its mask equals, pixel for
-pixel, the one a distance-sorted :class:`multishape.geometry.RadialGrid`
-gives for the same shape.
+:func:`rasterize` fills one shape with :func:`multishape.geometry.box_mask`,
+pixel for pixel as a :class:`multishape.geometry.RadialGrid` would.
 """
 
 from __future__ import annotations

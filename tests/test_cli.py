@@ -1,10 +1,13 @@
 import json
+import shutil
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import multishape as ms
+import multishape.cli
 from multishape.cli import _fail, main
 
 SMALL_ARGS = [
@@ -192,6 +195,18 @@ class TestTrain:
         manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
         assert len(manifest["training_scenes"]) == 8
 
+    @pytest.mark.parametrize("flags", [["--fold", "2"], ["--invert"],
+                                       ["--fold", "0", "--invert"]])
+    def test_fold_without_folds_exit2(self, tmp_path, capsys, flags):
+        data = tmp_path / "data"
+        assert main(["generate", "--out", str(data), "--count", "3",
+                     "--seed", "2"] + SMALL_ARGS) == 0
+        model = tmp_path / "m.json"
+        assert main(["train", "--dataset", str(data), "--out", str(model)]
+                    + flags + SMALL_ARGS) == 2
+        assert capsys.readouterr().err.startswith("error:config: --fold")
+        assert not model.exists()
+
 
 class TestMalformedFiles:
     """Malformed dataset and model files are I/O errors: exit 3."""
@@ -369,6 +384,48 @@ class TestSegment:
             assert (out / f"{scene_id}_trace.json").exists()
         assert not (out / "scene_0001_trace.json").exists()
         assert summary["mean_dsc"] >= 0.85
+
+    def test_jobs_capped_at_scene_count(self, tmp_path, monkeypatch):
+        pools = []
+
+        class InlinePool:
+            """Records its worker count and runs the work in this process."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(multishape.cli.concurrent.futures,
+                            "ProcessPoolExecutor", InlinePool)
+        data = tmp_path / "data"
+        model = tmp_path / "m.json"
+        assert main(["generate", "--out", str(data), "--count", "2",
+                     "--seed", "5"] + SMALL_ARGS) == 0
+        assert main(["train", "--dataset", str(data), "--out", str(model)]
+                    + SMALL_ARGS) == 0
+        assert main(["segment", "--model", str(model), "--dataset", str(data),
+                     "--out", str(tmp_path / "seg2"), "--jobs", "64"]
+                    + SMALL_ARGS) == 0
+        assert pools == [2]
+        # one scene runs inline, with no pool at all
+        single = tmp_path / "single"
+        shutil.copytree(data / "scene_0000", single / "scene_0000")
+        out = tmp_path / "seg1"
+        assert main(["segment", "--model", str(model), "--dataset",
+                     str(single), "--out", str(out), "--jobs", "64"]
+                    + SMALL_ARGS) == 0
+        assert pools == [2]
+        assert (out / "scene_0000_trace.json").exists()
 
     def test_parallel_jobs_identical(self, tmp_path):
         data, model, out, _ = run_pipeline(tmp_path, "j")

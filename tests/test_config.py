@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 import multishape as ms
@@ -22,8 +24,6 @@ def resolved(cfg, key):
 
 def other_value(default):
     """A valid non-default value of the default's type."""
-    if isinstance(default, bool):
-        return not default
     if isinstance(default, int):
         return default + 1
     if isinstance(default, float):
@@ -34,7 +34,7 @@ def other_value(default):
 def as_text(value):
     if isinstance(value, tuple):
         return f"{value[0]},{value[1]}"
-    return str(value).lower() if isinstance(value, bool) else repr(value)
+    return repr(value)
 
 
 def test_defaults_come_from_dataclasses():
@@ -51,6 +51,22 @@ def test_every_key_reaches_its_field(key):
     value = other_value(resolved(RunConfig(), key))
     cfg = RunConfig.from_values({key: as_text(value)})
     assert resolved(cfg, key) == value
+
+
+@pytest.mark.parametrize("doc", [
+    {"k": True},
+    {"grid": {"r_step": True}},
+    {"evolution": {"max_outer_iterations": False}},
+    {"generator": {"base_radius": [True, 40]}},
+    {"generator": {"canvas": [256, False]}},
+])
+def test_json_booleans_exit2(tmp_path, capsys, doc):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["generate", "--out", str(tmp_path / "d"),
+                 "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error:config: bad value")
+    assert not (tmp_path / "d").exists()
 
 
 def test_shared_keys_reach_every_section():

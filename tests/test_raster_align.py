@@ -126,9 +126,10 @@ class TestBoxRaster:
         assert np.array_equal(mask, grid_mask(radii, centroid, r, theta,
                                               (32, 28)))
 
-    def test_lattice_aligned_edges_match_radial_grid(self):
+    def test_lattice_aligned_edges_match_radial_grid_and_oracle(self):
         # vertices and edges through pixel centers, where q rounds either
-        # way of r: both pixel orders must round alike
+        # way of r: both pixel orders must agree, and count those pixel
+        # centers as inside, as the even-odd oracle does
         cases = 0
         for k in (3, 4, 6, 8, 12):
             for radius in (2.0, 3.5, 4.0, 5.0):
@@ -143,6 +144,11 @@ class TestBoxRaster:
                                          (32, 32))
                         assert np.array_equal(mask, want), (k, radius,
                                                             centroid, theta)
+                        oracle = fill_polygon_oracle(
+                            radial_vertices(radii, centroid, 1.0, theta),
+                            (32, 32))
+                        assert np.array_equal(mask, oracle), (k, radius,
+                                                              centroid, theta)
                         cases += 1
         assert cases == 320
 
