@@ -70,7 +70,7 @@ class GridSearchConfig:
     def __post_init__(self):
         if not 0 < self.r_min <= self.r_max:
             raise ValueError("need 0 < r_min <= r_max")
-        if self.r_step <= 0 or self.theta_count < 1:
+        if not (self.r_step > 0 and self.theta_count >= 1):
             raise ValueError("r_step and theta_count must be positive")
 
     def r_values(self):
@@ -179,9 +179,10 @@ class AlignmentSearcher:
         or above ``cap``, the largest scale of interest, as BOUND_MARGIN
         exceeds the rounding and closure of q, so they can change no
         comparison against the scale grid.  Settled rotations drop out of
-        the batch and the scan stops when every rotation has settled.  The grid grows only when the scan has passed
-        every built pixel and some rotation still reaches beyond them.  A
-        minimum above ``cap`` is not exact, but it stays above ``cap``.
+        the batch and the scan stops when every rotation has settled.  The
+        grid grows only when the scan has passed every built pixel and some
+        rotation still reaches beyond them.  A minimum above ``cap`` is not
+        exact, but it stays above ``cap``.
         """
         self._sync_background()
         minimum = np.full(stack.shape[0], np.inf)

@@ -9,6 +9,7 @@ overrides the generator seed last.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
@@ -25,23 +26,28 @@ SEED_ENV_VAR = "MULTISHAPE_SEED"
 _SHARED = ("k", "variance_threshold", "energy_threshold_fraction")
 
 
+def _number(kind, value):
+    """``value`` as a finite number of type ``kind``, whole for an int."""
+    number = kind(value)
+    # a JSON true/false is no number, and a JSON 72.9 must not become 72
+    if isinstance(value, bool) or not math.isfinite(number) or (
+            isinstance(value, float) and number != value):
+        raise ValueError(value)
+    return number
+
+
 def _coerce(key, default, value):
     """Parse ``value`` to the type of the key's default."""
-    kind = type(default)
     try:
-        # a JSON true/false is no number, alone or as a pair element
-        elements = value if isinstance(value, (list, tuple)) else [value]
-        if any(isinstance(element, bool) for element in elements):
-            raise ValueError(value)
-        if kind in (int, float):
-            return kind(value)
+        if not isinstance(default, tuple):
+            return _number(type(default), value)
         # pairs take the element type of the default's first element; int
         # and float ignore the spaces around a comma
         parts = value.split(",") if isinstance(value, str) else list(value)
         if len(parts) != 2:
             raise ValueError(value)
-        return tuple(map(type(default[0]), parts))
-    except (TypeError, ValueError) as exc:
+        return tuple(_number(type(default[0]), part) for part in parts)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad value for key {key!r}: {value!r}") from exc
 
 

@@ -22,7 +22,8 @@ phases on it:
 - ``refresh_alignments``: grid-search the alignment of every object whose
   shape changed since the last refresh; adopted only when an alignment
   moved and the energy does not increase.
-- gradient: probe every coordinate at +-FD_STEP, once per fit, and update
+- gradient: ``run`` computes the +-FD_STEP probe table of every coordinate,
+  once per fit, takes the gradient as its central difference and updates
   the SR1 Hessian from the change in that gradient; SR1 is the only
   curvature model.
 - trust-region trial: minimize the quadratic model inside the trust ball
@@ -31,8 +32,11 @@ phases on it:
   lowers the energy.
 - ``plateau_walk``: once the trust region is below the probe scale, take
   the best single-coordinate move at one, two or four probe steps, else the
-  first single grid-step alignment move that lowers the energy.  The loop
-  halts only when the walk finds nothing and the radius is at its minimum.
+  first single grid-step alignment move that lowers the energy; the walk
+  reuses the gradient's probe table, passed to it by ``run``.
+
+The halt reason is ``energy_threshold`` exactly when the final energy is at
+or below the threshold, ``energy_threshold_fraction`` of the clump area.
 """
 
 from __future__ import annotations
@@ -69,9 +73,9 @@ class EvolutionConfig:
     grid: GridSearchConfig = field(default_factory=GridSearchConfig)
 
     def __post_init__(self):
-        if self.energy_threshold_fraction <= 0:
+        if not self.energy_threshold_fraction > 0:
             raise ValueError("energy_threshold_fraction must be positive")
-        if self.max_outer_iterations < 1:
+        if not self.max_outer_iterations >= 1:
             raise ValueError("max_outer_iterations must be positive")
 
 
@@ -90,7 +94,6 @@ class EvolutionState:
 
     x: np.ndarray
     alignments: list
-    delta: float
     energy: int
     iteration: int
     trace: list
@@ -261,7 +264,6 @@ class _SceneEngine:
             raise DimensionMismatch(
                 f"need {self.n} searchers with K={model.k}")
         self.searchers = searchers
-        self._probed = (None, None)   # (fit, its +-FD_STEP probe table)
 
     def object_mask(self, i, radii, alignment):
         return self.searchers[i].grid.mask(radii, alignment.r, alignment.theta)
@@ -333,16 +335,6 @@ class _SceneEngine:
             energies[i] = constant + np.count_nonzero(mismatch, axis=1)
         return energies
 
-    def gradient(self, fit):
-        """Normalized-unit central-difference gradient, batched per object.
-
-        Caches the probe energies; the plateau walk reuses them.
-        """
-        table = self._probe_table(fit, FD_STEP)
-        self._probed = (fit, table)
-        diffs = table[:, 0::2] - table[:, 1::2]
-        return (diffs / (2.0 * FD_STEP)).reshape(-1)
-
     @staticmethod
     def _best_table_move(table, e_cur):
         """Best improving coordinate move of a probe table, or None.
@@ -372,19 +364,19 @@ class _SceneEngine:
         candidate = self.revise(fit, alignments=alignments)
         return candidate if candidate.energy <= fit.energy else fit
 
-    def plateau_walk(self, fit):
+    def plateau_walk(self, fit, table):
         """First probed move that lowers the energy, as ``(fit, step_scale)``.
 
         The quadratic model has no information below the probe scale, so
         near a plateau the loop walks the probed landscape instead: the best
         single-coordinate probe at one, then two, then four probe steps,
         then the first single grid-step alignment move (step scale 0.0),
-        scanned by object in a fixed neighbour order.  Returns None when
-        none of these moves lowers the energy.
+        scanned by object in a fixed neighbour order.  ``table`` is the
+        ``FD_STEP`` probe table of ``fit``.  Returns None when none of these
+        moves lowers the energy.
         """
-        probed_fit, table = self._probed
         for step_scale in (FD_STEP, 2.0 * FD_STEP, 4.0 * FD_STEP):
-            if step_scale != FD_STEP or probed_fit is not fit:
+            if step_scale != FD_STEP:
                 table = self._probe_table(fit, step_scale)
             move = self._best_table_move(table, fit.energy)
             if move is not None:
@@ -407,23 +399,24 @@ class _SceneEngine:
         n, t = self.n, self.t
         fit = self.initial_fit()
         searched_c = fit.c
-        trace, delta, iteration = [], INITIAL_TRUST_RADIUS, 0
+        trace, delta, iteration, halted = [], INITIAL_TRUST_RADIUS, 0, None
         sr1 = Sr1Hessian(n * t)
-        # the gradient, and a plateau walk that found nothing, stay valid
-        # while the fit they were computed for is the current one
-        grad_fit = g = walked = None
-        halted = "energy_threshold" if fit.energy <= self.e_star else None
+        # the gradient and its probe table, and a plateau walk that found
+        # nothing, stay valid while the fit they were computed for is current
+        grad_fit = g = table = walked = None
 
-        while halted is None and iteration < cfg.max_outer_iterations:
+        while halted is None and fit.energy > self.e_star \
+                and iteration < cfg.max_outer_iterations:
             iteration += 1
             fit = self.refresh_alignments(fit, searched_c)
             searched_c = fit.c
             if fit.energy <= self.e_star:
-                halted = "energy_threshold"
                 break
 
             if grad_fit is not fit:
-                g_new = self.gradient(fit)
+                table = self._probe_table(fit, FD_STEP)
+                g_new = ((table[:, 0::2] - table[:, 1::2])
+                         / (2.0 * FD_STEP)).reshape(-1)
                 if grad_fit is not None \
                         and not np.array_equal(fit.c, grad_fit.c):
                     sr1.update((fit.c - grad_fit.c).reshape(-1), g_new - g)
@@ -444,9 +437,7 @@ class _SceneEngine:
                 trace.append(TraceRow(iteration, trial.energy, delta,
                                       step_norm, True))
                 fit = trial
-                if fit.energy <= self.e_star:
-                    halted = "energy_threshold"
-                elif rho > GROW_RATIO and step_norm >= delta - BOUNDARY_TOL:
+                if rho > GROW_RATIO and step_norm >= delta - BOUNDARY_TOL:
                     delta = min(2.0 * delta, MAX_TRUST_RADIUS)
                 elif rho < SHRINK_RATIO:
                     delta = max(0.5 * delta, MIN_TRUST_RADIUS)
@@ -454,16 +445,13 @@ class _SceneEngine:
 
             walk = None
             if delta <= FD_STEP * (1.0 + 1e-12) and walked is not fit:
-                walk, walked = self.plateau_walk(fit), fit
+                walk, walked = self.plateau_walk(fit, table), fit
             if walk is not None:
                 fit, step_scale = walk
                 trace.append(TraceRow(iteration, fit.energy, delta,
                                       step_scale, True))
-                if fit.energy <= self.e_star:
-                    halted = "energy_threshold"
-                else:
-                    # the walk ran at or below the probe scale; resume there
-                    delta = FD_STEP
+                # the walk ran at or below the probe scale; resume there
+                delta = FD_STEP
                 continue
 
             trace.append(TraceRow(iteration, fit.energy, delta, step_norm,
@@ -473,12 +461,15 @@ class _SceneEngine:
             else:
                 delta = max(0.5 * delta, MIN_TRUST_RADIUS)
 
+        if fit.energy <= self.e_star:
+            halted = "energy_threshold"
         height, width = self.scene.clump.shape
         final_masks = [m.reshape(height, width).copy() for m in fit.masks]
         state = EvolutionState(
             x=self.raw_from_normalized(fit.c).reshape(-1),
-            alignments=list(fit.alignments), delta=delta, energy=fit.energy,
-            iteration=iteration, trace=trace, halted_reason=halted or "max_iterations")
+            alignments=list(fit.alignments), energy=fit.energy,
+            iteration=iteration, trace=trace,
+            halted_reason=halted or "max_iterations")
         return final_masks, state
 
 

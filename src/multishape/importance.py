@@ -51,9 +51,9 @@ class LearningConfig:
         default_factory=lambda: EvolutionConfig(max_outer_iterations=50))
 
     def __post_init__(self):
-        if self.step <= 0:
+        if not self.step > 0:
             raise ValueError("weight step must be positive")
-        if self.max_tries_per_example < 1 or self.max_cycles < 1:
+        if not (self.max_tries_per_example >= 1 and self.max_cycles >= 1):
             raise ValueError("learning caps must be positive")
 
 

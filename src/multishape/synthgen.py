@@ -42,11 +42,11 @@ class GeneratorConfig:
         for name in ("n_objects", "base_radius", "eccentricity",
                      "centroid_spacing"):
             lo, hi = getattr(self, name)
-            if lo > hi or lo <= 0:
+            if not 0 < lo <= hi:
                 raise ValueError(f"{name} range must be ordered and positive")
         if not 0.0 <= self.boundary_noise_amplitude < 1.0:
             raise ValueError("boundary_noise_amplitude must be in [0, 1)")
-        if self.k < 3:
+        if not self.k >= 3:
             raise ValueError("k must be at least 3")
 
     def validate_canvas(self):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -59,6 +60,9 @@ def test_every_key_reaches_its_field(key):
     {"evolution": {"max_outer_iterations": False}},
     {"generator": {"base_radius": [True, 40]}},
     {"generator": {"canvas": [256, False]}},
+    # nor is a non-finite number, alone or as a pair element
+    {"evolution": {"max_outer_iterations": float("inf")}},
+    {"generator": {"base_radius": [float("nan"), 40]}},
 ])
 def test_json_booleans_exit2(tmp_path, capsys, doc):
     cfg = tmp_path / "c.json"
@@ -67,6 +71,45 @@ def test_json_booleans_exit2(tmp_path, capsys, doc):
                  "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("error:config: bad value")
     assert not (tmp_path / "d").exists()
+
+
+HOSTILE_VALUES = [float("nan"), float("inf"), float("-inf"), "nan", "-inf",
+                  1e300, 72.9, [float("nan"), 40], [256.5, 200]]
+
+
+@pytest.mark.parametrize("key", schema_keys())
+def test_hostile_values_return_or_config_error(key):
+    # none of these builds a grid, so a huge accepted value allocates nothing
+    default = resolved(RunConfig(), key)
+    kind = type(default[0] if isinstance(default, tuple) else default)
+    for value in HOSTILE_VALUES:
+        elements = value if isinstance(value, list) else [value]
+        numbers = [float(element) for element in elements]
+        rejected = not all(map(math.isfinite, numbers)) or (
+            kind is int and not all(x.is_integer() for x in numbers))
+        try:
+            RunConfig.from_values({key: value})
+        except ms.ConfigError:
+            continue
+        assert not rejected, (key, value)
+
+
+def test_whole_json_floats_reach_integer_keys():
+    cfg = RunConfig.from_values({"k": 72.0, "generator.canvas": [256.0, 200]})
+    assert cfg.k == 72 and cfg.generator.canvas == (256, 200)
+    assert type(cfg.k) is int and type(cfg.generator.canvas[0]) is int
+
+
+@pytest.mark.parametrize("make, values", [
+    (ms.GeneratorConfig, {"base_radius": (math.nan, 40.0)}),
+    (ms.GeneratorConfig, {"k": math.nan}),
+    (ms.GridSearchConfig, {"r_step": math.nan}),
+    (ms.LearningConfig, {"step": math.nan}),
+    (ms.EvolutionConfig, {"max_outer_iterations": math.nan}),
+])
+def test_dataclasses_reject_nan(make, values):
+    with pytest.raises(ValueError):
+        make(**values)
 
 
 def test_shared_keys_reach_every_section():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -159,7 +161,8 @@ class TestPlateauWalk:
         off = engine.revise(aligned, alignments=[ms.Alignment(
             r=float(rs[r_idx + 1]), theta=aligned.alignments[0].theta)])
         assert off.energy > aligned.energy
-        walk = engine.plateau_walk(off)
+        walk = engine.plateau_walk(
+            off, engine._probe_table(off, ms.evolution.FD_STEP))
         assert walk is not None
         fit, step_scale = walk
         assert step_scale == 0.0
@@ -363,8 +366,9 @@ class TestEvolve:
         dscs = [ms.dsc(m, t) for m, t in zip(masks, scene.truth)]
         assert np.mean(dscs) >= 0.80
 
-    def test_invariants_on_run(self, tiny_model, tiny_dataset):
-        scene = tiny_dataset[5]
+    @pytest.mark.parametrize("index", range(6))
+    def test_invariants_on_run(self, tiny_model, tiny_dataset, index):
+        scene = tiny_dataset[index]
         cfg = ms.EvolutionConfig(max_outer_iterations=60)
         masks, state = ms.evolve(scene, tiny_model, cfg)
         # accepted energies strictly decreasing
@@ -385,6 +389,9 @@ class TestEvolve:
         assert state.iteration <= cfg.max_outer_iterations
         assert state.halted_reason in ("energy_threshold", "no_decrease",
                                        "max_iterations", "zero_gradient")
+        # the threshold halt is named exactly when the final energy is met
+        met = state.energy <= cfg.energy_threshold_fraction * scene.clump_area
+        assert (state.halted_reason == "energy_threshold") == met
 
     def test_deterministic_traces(self, tiny_model, tiny_dataset):
         scene = tiny_dataset[3]
@@ -413,8 +420,29 @@ class TestEvolve:
         with pytest.raises(ms.DimensionMismatch):
             ms.evolve(scene, tiny_model, cfg, searchers[:-1])
 
+    def test_default_scale_memory_peak(self):
+        # criterion 2's mixed model and a 6-object default-scale scene; the
+        # measured peak is 9.5 MB (numpy 2, Python 3.11), the ceiling 1.5x
+        gen = ms.GeneratorConfig(seed=7)
+        train = [ms.generate_scene(gen, 500 + i) for i in range(30)]
+        model = ms.build_model(ms.WeightedExampleSet([
+            ms.ShapeExample(s.scene_id, i, ms.sample_shape_vector(m, c, 360))
+            for s in train
+            for i, (m, c) in enumerate(zip(s.truth, s.centroids))]))
+        scene = ms.generate_scene(gen, 0)
+        assert scene.n_objects == 6
+        tracemalloc.start()
+        try:
+            ms.evolve(scene, model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 14e6
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ms.EvolutionConfig(energy_threshold_fraction=0.0)
+        with pytest.raises(ValueError):
+            ms.EvolutionConfig(energy_threshold_fraction=float("nan"))
         with pytest.raises(ValueError):
             ms.EvolutionConfig(max_outer_iterations=0)
