@@ -57,6 +57,9 @@ from .raster import Alignment
 # (rotations x pixels) temporaries of a search.
 MAX_CHUNK = 8192
 
+# Most scales a grid search may have; checked before any grid is built.
+MAX_SCALES = 10**4
+
 
 @dataclass(frozen=True)
 class GridSearchConfig:
@@ -72,6 +75,9 @@ class GridSearchConfig:
             raise ValueError("need 0 < r_min <= r_max")
         if not (self.r_step > 0 and self.theta_count >= 1):
             raise ValueError("r_step and theta_count must be positive")
+        # r_values' count is at most MAX_SCALES exactly when this holds
+        if not (self.r_max - self.r_min) / self.r_step + 1e-9 < MAX_SCALES:
+            raise ValueError(f"the grid may have at most {MAX_SCALES} scales")
 
     def r_values(self):
         count = int(np.floor((self.r_max - self.r_min) / self.r_step + 1e-9)) + 1

@@ -122,12 +122,10 @@ def cmd_train(args):
 
     history = []
     if args.learn_importance:
-        weights, model, history = learn(pairs, cfg.learning)
+        _, model, history = learn(pairs, cfg.learning)
     else:
         model = build_model(example_set, cfg.variance_threshold)
-        weights = example_set.weights
 
-    model.weights = np.asarray(weights, dtype=np.float64)
     save_model(model, args.out)
     manifest = {
         "dataset": os.path.abspath(args.dataset),

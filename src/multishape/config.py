@@ -25,6 +25,9 @@ SEED_ENV_VAR = "MULTISHAPE_SEED"
 # the section dataclass that consumes it
 _SHARED = ("k", "variance_threshold", "energy_threshold_fraction")
 
+# Most entries (grid.theta_count times k) of a search's rotation plan.
+MAX_ROTATION_PLAN = 2**20
+
 
 def _number(kind, value):
     """``value`` as a finite number of type ``kind``, whole for an int."""
@@ -103,6 +106,9 @@ class RunConfig:
                 **learn_section)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if merged["grid.theta_count"] * merged["k"] > MAX_ROTATION_PLAN:
+            raise ConfigError(f"grid.theta_count times k must be at most "
+                              f"{MAX_ROTATION_PLAN}")
         return cls(generator=generator, evolution=evolution,
                    learning=learning, **{key: merged[key] for key in _SHARED})
 

@@ -2,11 +2,12 @@
 
 Each training pair is a clump scene with the ground-truth shape vectors of
 its objects.  A pair's quality under the current model is the terminated
-energy of a full evolution run on its scene.  The learner visits examples
-in order, tentatively bumps one weight by the configured step, rebuilds the
-mean and eigenbasis, and keeps the bump only while the current pair's
-terminated energy strictly decreases.  Cycling stops after a full pass with
-no accepted bump or when the cycle cap is reached, so every run terminates.
+energy of a full evolution run on its scene.  Each cycle is one pass over
+the examples in manifest order.  For each example the learner tentatively
+bumps its weight by the configured step, builds the model once from the
+bumped weights, and keeps the bump only while the terminated energy of the
+example's own pair strictly decreases.  Cycling stops after a pass with no
+accepted bump or when the cycle cap is reached, so every run terminates.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ class LearningConfig:
             raise ValueError("weight step must be positive")
         if not (self.max_tries_per_example >= 1 and self.max_cycles >= 1):
             raise ValueError("learning caps must be positive")
+        if not 0 < self.variance_threshold <= 1:
+            raise ValueError("variance_threshold must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -141,41 +144,30 @@ def learn(dataset, config=None):
                                               searchers[pair_index])
         return energies[key]
 
-    # manifest offsets of each pair's examples
-    offsets = []
-    pos = 0
-    for pair in dataset:
-        offsets.append(pos)
-        pos += len(pair.shapes)
-
+    owners = [p for p, pair in enumerate(dataset) for _ in pair.shapes]
     history = []
     for cycle in range(config.max_cycles):
-        committed_this_cycle = 0
-        for pair_index, pair in enumerate(dataset):
-            e_current = energy_for(pair_index, model)
-            for local_index in range(len(pair.shapes)):
-                global_index = offsets[pair_index] + local_index
-                for _ in range(config.max_tries_per_example):
-                    counts[global_index] += 1
-                    trial_model = model_for(counts)
-                    e_trial = energy_for(pair_index, trial_model)
-                    if e_trial < e_current:
-                        model = trial_model
-                        history.append(WeightUpdate(
-                            cycle=cycle,
-                            pair_index=pair_index,
-                            example_index=global_index,
-                            scene_id=pair.scene.scene_id,
-                            object_id=local_index,
-                            weight=float(weights_for(counts[global_index])),
-                            energy_before=e_current,
-                            energy_after=e_trial,
-                        ))
-                        e_current = e_trial
-                        committed_this_cycle += 1
-                    else:
-                        counts[global_index] -= 1
-                        break
-        if committed_this_cycle == 0:
+        committed = len(history)
+        for g, p in enumerate(owners):
+            for _ in range(config.max_tries_per_example):
+                before = energy_for(p, model)
+                counts[g] += 1
+                trial_model = model_for(counts)
+                after = energy_for(p, trial_model)
+                if after >= before:
+                    counts[g] -= 1
+                    break
+                model = trial_model
+                history.append(WeightUpdate(
+                    cycle=cycle,
+                    pair_index=p,
+                    example_index=g,
+                    scene_id=example_set.examples[g].scene_id,
+                    object_id=example_set.examples[g].object_id,
+                    weight=float(weights_for(counts[g])),
+                    energy_before=before,
+                    energy_after=after,
+                ))
+        if len(history) == committed:
             break
     return weights_for(counts), model, history

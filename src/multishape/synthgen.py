@@ -24,6 +24,10 @@ from .shape_model import DEFAULT_K, RADIUS_FLOOR
 SCENE_JSON_FORMAT = 1
 HARMONIC_ORDERS = (2, 3, 4, 5, 6)
 
+# Ceilings within which the precision bounds of multishape.geometry hold.
+MAX_CANVAS_SIDE = 10**4
+MAX_K = 10**4
+
 
 @dataclass(frozen=True)
 class GeneratorConfig:
@@ -46,8 +50,10 @@ class GeneratorConfig:
                 raise ValueError(f"{name} range must be ordered and positive")
         if not 0.0 <= self.boundary_noise_amplitude < 1.0:
             raise ValueError("boundary_noise_amplitude must be in [0, 1)")
-        if not self.k >= 3:
-            raise ValueError("k must be at least 3")
+        if not 3 <= self.k <= MAX_K:
+            raise ValueError(f"k must be in [3, {MAX_K}]")
+        if not max(self.canvas) <= MAX_CANVAS_SIDE:
+            raise ValueError(f"canvas sides must be at most {MAX_CANVAS_SIDE}")
 
     def validate_canvas(self):
         need = 2.0 * self.base_radius[1] * self.eccentricity[1]

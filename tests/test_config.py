@@ -5,7 +5,9 @@ import pytest
 
 import multishape as ms
 from multishape.cli import main
-from multishape.config import RunConfig, schema_keys
+from multishape.align import MAX_SCALES
+from multishape.config import MAX_ROTATION_PLAN, RunConfig, schema_keys
+from multishape.synthgen import MAX_CANVAS_SIDE, MAX_K
 
 
 @pytest.fixture(autouse=True)
@@ -177,3 +179,76 @@ def test_removed_key_config_exit2(tmp_path, capsys, key):
     assert main(["generate", "--out", str(tmp_path / "d"),
                  "--config", str(cfg)]) == 2
     assert key in capsys.readouterr().err
+
+
+def test_variance_threshold_checked_at_config_time():
+    for value in (2, 0, -0.5, 1.0 + 1e-12):
+        with pytest.raises(ms.ConfigError, match="variance_threshold"):
+            RunConfig.from_values({"variance_threshold": value})
+    with pytest.raises(ValueError):
+        ms.LearningConfig(variance_threshold=math.nan)
+    assert RunConfig.from_values({"variance_threshold": 1}).learning \
+        .variance_threshold == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["generate", "--out", "{out}"],
+    ["train", "--dataset", "{out}_missing", "--out", "{out}"],
+])
+def test_variance_threshold_exit2_before_io(tmp_path, capsys, command):
+    out = str(tmp_path / "out")
+    argv = [arg.format(out=out) for arg in command]
+    assert main(argv + ["--variance_threshold", "2"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error:config: variance_threshold must be in (0, 1]")
+    assert list(tmp_path.iterdir()) == []
+
+
+# each value passes its key's own checks but breaks a size ceiling, and
+# from_values rejects it before anything of that size is built; the second
+# element is the ceiling the error names
+CEILING_CASES = [
+    ({"grid.theta_count": 1e9}, MAX_ROTATION_PLAN),
+    ({"k": 1024, "grid.theta_count": MAX_ROTATION_PLAN // 1024 + 1},
+     MAX_ROTATION_PLAN),
+    ({"grid.r_step": 1e-12}, MAX_SCALES),
+    ({"grid.r_min": 1.0, "grid.r_max": 1.0 + MAX_SCALES * 0.125,
+      "grid.r_step": 0.125}, MAX_SCALES),
+    ({"grid.r_max": 1e300}, MAX_SCALES),
+    ({"generator.canvas": [100000, 100000]}, MAX_CANVAS_SIDE),
+    ({"generator.canvas": [256, 10001]}, MAX_CANVAS_SIDE),
+    ({"k": 10**7}, MAX_K),
+    ({"k": 10001}, MAX_K),
+]
+
+
+def as_document(values):
+    doc = {}
+    for key, value in values.items():
+        section, _, name = key.rpartition(".")
+        (doc.setdefault(section, {}) if section else doc)[name] = value
+    return doc
+
+
+@pytest.mark.parametrize("values, ceiling", CEILING_CASES)
+def test_size_ceilings_exit2(tmp_path, capsys, values, ceiling):
+    with pytest.raises(ms.ConfigError, match=str(ceiling)):
+        RunConfig.from_values(values)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(as_document(values)))
+    assert main(["generate", "--out", str(tmp_path / "d"),
+                 "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:config:") and str(ceiling) in err
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("values", [
+    {"k": MAX_K},
+    {"k": 1024, "grid.theta_count": MAX_ROTATION_PLAN // 1024},
+    {"grid.r_min": 1.0, "grid.r_max": 1.0 + (MAX_SCALES - 1) * 0.125,
+     "grid.r_step": 0.125},
+    {"generator.canvas": [MAX_CANVAS_SIDE, MAX_CANVAS_SIDE]},
+])
+def test_values_at_the_ceilings_accepted(values):
+    RunConfig.from_values(values)

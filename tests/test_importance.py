@@ -44,6 +44,48 @@ def two_family_dataset():
     return pairs
 
 
+@pytest.fixture(scope="module")
+def two_object_dataset():
+    dims = (64, 64)
+    return [
+        pair_from_vectors([ellipse_vector(15.0, 9.0),
+                           ellipse_vector(12.0, 10.0, 1.0)],
+                          [(28.0, 32.0), (38.0, 32.0)], dims, "two_a"),
+        pair_from_vectors([disk_vector(10.0),
+                           ellipse_vector(14.0, 8.0, 0.5)],
+                          [(26.0, 30.0), (38.0, 34.0)], dims, "two_b"),
+    ]
+
+
+# learn's result and its build_model count on each fixture dataset under
+# the settings of test_revisited_states_evolved_once; each update is
+# (cycle, pair, example, scene_id, object_id, weight, before, after)
+LEARN_PINS = {
+    "two_family_dataset": (38, [2.5, 1.0, 2.0, 1.0, 1.5, 5.0], [
+        (0, 2, 2, "disk_c", 0, 1.5, 24, 4),
+        (0, 4, 4, "ell_b", 0, 1.5, 236, 184),
+        (0, 5, 5, "ell_c", 0, 1.5, 304, 242),
+        (0, 5, 5, "ell_c", 0, 2.0, 242, 172),
+        (0, 5, 5, "ell_c", 0, 2.5, 172, 16),
+        (1, 0, 0, "disk_a", 0, 1.5, 126, 8),
+        (1, 0, 0, "disk_a", 0, 2.0, 8, 6),
+        (1, 2, 2, "disk_c", 0, 2.0, 16, 2),
+        (1, 5, 5, "ell_c", 0, 3.0, 302, 296),
+        (1, 5, 5, "ell_c", 0, 3.5, 296, 236),
+        (1, 5, 5, "ell_c", 0, 4.0, 236, 234),
+        (1, 5, 5, "ell_c", 0, 4.5, 234, 160),
+        (1, 5, 5, "ell_c", 0, 5.0, 160, 84),
+        (2, 0, 0, "disk_a", 0, 2.5, 182, 126),
+    ]),
+    "two_object_dataset": (17, [2.0, 1.0, 1.5, 1.5], [
+        (0, 1, 3, "two_b", 1, 1.5, 84, 82),
+        (1, 0, 0, "two_a", 0, 1.5, 57, 51),
+        (1, 0, 0, "two_a", 0, 2.0, 51, 36),
+        (1, 1, 2, "two_b", 0, 1.5, 111, 79),
+    ]),
+}
+
+
 class TestTerminatedEnergy:
     def test_zero_for_ideal_scene(self):
         vec = disk_vector(12.0)
@@ -133,6 +175,40 @@ class TestLearn:
         assert len(set(runs)) == len(runs)
         assert np.array_equal(weights, expected[0])
         assert history == expected[2]
+
+    @pytest.mark.parametrize("dataset_name", sorted(LEARN_PINS))
+    def test_pinned_result_and_builds(self, dataset_name, request,
+                                      monkeypatch):
+        dataset = request.getfixturevalue(dataset_name)
+        builds, pinned_weights, pinned_updates = LEARN_PINS[dataset_name]
+        cfg = ms.LearningConfig(step=0.5, max_tries_per_example=5,
+                                max_cycles=4, variance_threshold=0.5,
+                                evolution=quick_evolution())
+        calls = []
+        build_model = ms.importance.build_model
+
+        def counted(*args):
+            calls.append(args)
+            return build_model(*args)
+
+        monkeypatch.setattr(ms.importance, "build_model", counted)
+        weights, model, history = ms.learn(dataset, cfg)
+        # one build for the start model and one per tried bump
+        assert len(calls) == builds
+        assert weights.tolist() == pinned_weights
+        assert [(u.cycle, u.pair_index, u.example_index, u.scene_id,
+                 u.object_id, u.weight, u.energy_before, u.energy_after)
+                for u in history] == pinned_updates
+        # the model returned is the one built from the weights returned;
+        # compared within one process, as eigh's last bits follow the BLAS
+        examples = ms.importance.dataset_examples(dataset, step=cfg.step)
+        rebuilt = build_model(
+            ms.WeightedExampleSet(examples.examples, weights, cfg.step),
+            cfg.variance_threshold)
+        for name in ("mean", "basis", "eigenvalues", "weights",
+                     "variance_fraction", "t"):
+            assert np.array_equal(getattr(model, name),
+                                  getattr(rebuilt, name)), name
 
     def test_two_family_learning(self, two_family_dataset):
         cfg = ms.LearningConfig(step=0.5, max_tries_per_example=4,
