@@ -94,7 +94,7 @@ def _select_fold(scenes, fold, folds, invert):
     return [s for i, s in enumerate(scenes) if (i % folds == fold) != invert]
 
 
-def _sample_examples(scenes, k, step):
+def _sample_examples(scenes, k):
     pairs = []
     for scene in scenes:
         if scene.truth is None:
@@ -109,7 +109,7 @@ def _sample_examples(scenes, k, step):
                 raise type(exc)(
                     f"{scene.scene_id} object {i}: {exc}") from exc
         pairs.append(TrainingPair(scene=scene, shapes=shapes))
-    return pairs, dataset_examples(pairs, step=step)
+    return pairs, dataset_examples(pairs)
 
 
 def cmd_train(args):
@@ -118,7 +118,7 @@ def cmd_train(args):
     selected = _select_fold(scenes, args.fold, args.folds, args.invert)
     if not selected:
         raise ConfigError("fold selection left no training scenes")
-    pairs, example_set = _sample_examples(selected, cfg.k, cfg.learning.step)
+    pairs, example_set = _sample_examples(selected, cfg.k)
 
     history = []
     if args.learn_importance:

@@ -36,12 +36,12 @@ every pixel:
 * :func:`box_mask` visits the pixels of the reach's bounding box once and
   keeps nothing, for one-shot fills such as :func:`multishape.rasterize`.
 
-A grid covers only the distances asked of it.  It starts at an extent
-chosen by its caller and grows on demand whenever a query reaches past it,
-by appending whole distance shells.  Appended pixels are farther out than
-every built one and every table is computed elementwise, so a grown grid is
-always a bitwise-identical prefix of the grid built at full extent, and the
-answers of its queries are the same.
+A grid covers only the distances asked of it.  It is built at an extent
+chosen by its caller and rebuilt at a larger reach whenever a query reaches
+past it.  Its pixels are sorted by distance, ties by flat index, and every
+table is computed elementwise, so a grid is always a bitwise-identical
+prefix of the grid built at full extent, and the answers of its queries are
+the same.
 
 The tables (m, A, B) do not depend on the shape, and rotation only moves
 them by whole sectors: rotating the shape by s * 2*pi/K puts vertex j where
@@ -246,14 +246,13 @@ class RadialGrid:
 
     Holds every canvas pixel whose center lies within ``reach`` of the
     center, ordered by increasing distance (ties by flat index).  The grid
-    starts at ``reach_distance(extent)`` and grows on demand: every
-    query past the built reach (:meth:`reach_stop`, :meth:`core_stop`,
-    :meth:`area_bound`, or an explicit :meth:`cover`) first appends the
-    pixels out to the larger of what it needs and ``GROWTH`` times the
-    reach.  Appended pixels lie farther out than every built one and all
-    tables are elementwise, so the built pixels stay a bitwise-identical
+    is built at ``reach_distance(extent)``.  Every query past the reach
+    (:meth:`reach_stop`, :meth:`core_stop`, :meth:`area_bound`, or an
+    explicit :meth:`cover`) first rebuilds it at the larger of what it
+    needs and ``GROWTH`` times the reach, dropping the cached tables.  The
+    order and the elementwise tables make every build a bitwise-identical
     prefix of the grid built at full extent.  Once the whole canvas is
-    built, ``reach`` is infinite.
+    held, ``reach`` is infinite.
 
     The tables are shape independent: one grid serves any radii vector of
     length ``k`` at any rotation.  They are built once per fractional
@@ -271,49 +270,37 @@ class RadialGrid:
         self.center = (float(center[0]), float(center[1]))
         self.dims = (width, height)
         self.k = int(k)
-        self._tables: dict[float, tuple] = {}
-        self._counts: dict[float, np.ndarray] = {}
-        self.reach = -np.inf
-        self.flat_index = np.zeros(0, dtype=np.intp)
-        self.dist = np.zeros(0)
-        self._phi = np.zeros(0)
-        self._grow(reach_distance(float(extent)))
+        self._build(reach_distance(float(extent)))
 
-    def _grow(self, reach):
-        """Append the canvas pixels beyond the built reach, up to ``reach``."""
+    def _build(self, reach):
+        """Hold the canvas pixels within ``reach``; drop every cached table."""
         width, height = self.dims
         x0, y0, dx, dy, d = polar_box(self.center, self.dims, reach)
-        keep = (d > self.reach) & (d <= reach)
+        keep = d <= reach
         yy, xx = np.nonzero(keep)
-        flat_index = (yy + y0) * width + (xx + x0)
         dist = d[keep]
-        phi = polar_angle(dx[keep], dy[keep])
-        # np.nonzero is row-major, so flat_index is ascending and a stable
-        # sort breaks distance ties by flat index
+        # np.nonzero is row-major, so flat indices ascend and a stable sort
+        # breaks distance ties by flat index
         order = np.argsort(dist, kind="stable")
-        flat_index, dist, phi = flat_index[order], dist[order], phi[order]
-        self.flat_index = np.concatenate([self.flat_index, flat_index])
-        self.dist = np.concatenate([self.dist, dist])
-        self._phi = np.concatenate([self._phi, phi])
-        for base, table in self._tables.items():
-            grown = sector_entries(phi, dist, base, self.k)
-            self._tables[base] = tuple(np.concatenate(pair)
-                                       for pair in zip(table, grown))
-        self._counts.clear()
+        self.flat_index = ((yy + y0) * width + (xx + x0))[order]
+        self.dist = dist[order]
+        self._phi = polar_angle(dx[keep], dy[keep])[order]
+        self._tables: dict[float, tuple] = {}
+        self._counts: dict[float, np.ndarray] = {}
         whole = d.shape == (height, width)
         self.reach = np.inf if whole and d.max() <= reach else reach
 
     def cover(self, distance):
-        """Grow the grid until it holds every pixel within ``distance``."""
+        """Make the grid hold every pixel within ``distance``."""
         if distance > self.reach:
-            self._grow(max(float(distance), GROWTH * self.reach))
+            self._build(max(float(distance), GROWTH * self.reach))
 
     @property
     def size(self):
         return self.dist.size
 
     def _sector_table(self, base):
-        """Per-pixel table at offset ``base``, extended as the grid grows."""
+        """Per-pixel table at offset ``base``, built on first use."""
         table = self._tables.get(base)
         if table is None:
             table = sector_entries(self._phi, self.dist, base, self.k)

@@ -74,8 +74,12 @@ class WeightUpdate:
     energy_after: int
 
 
-def dataset_examples(dataset, step=0.1):
-    """Flatten pairs into a weighted example set in manifest order."""
+def dataset_examples(dataset, step=None):
+    """Flatten pairs into a weighted example set in manifest order.
+
+    ``step`` is accepted and unused; it goes once the benchmark's callers
+    stop passing it (ROADMAP item 2).
+    """
     examples = []
     for pair in dataset:
         for i, radii in enumerate(pair.shapes):
@@ -84,7 +88,7 @@ def dataset_examples(dataset, step=0.1):
                 object_id=i,
                 radii=np.asarray(radii, dtype=np.float64),
             ))
-    return WeightedExampleSet(examples=examples, step=step)
+    return WeightedExampleSet(examples=examples)
 
 
 def terminated_energy(pair, model, evolution_config, searchers=None):
@@ -111,7 +115,7 @@ def learn(dataset, config=None):
     if not dataset:
         raise EmptyDataset("no training pairs")
 
-    example_set = dataset_examples(dataset, step=config.step)
+    example_set = dataset_examples(dataset)
     # integer increment counts keep tentative bumps exactly revertible
     counts = np.zeros(len(example_set), dtype=np.int64)
 
@@ -122,7 +126,6 @@ def learn(dataset, config=None):
         trial_set = WeightedExampleSet(
             examples=example_set.examples,
             weights=weights_for(c),
-            step=config.step,
         )
         return build_model(trial_set, config.variance_threshold)
 

@@ -51,12 +51,11 @@ class ShapeExample:
 class WeightedExampleSet:
     """Training examples with per-example importance weights.
 
-    Weights start at 1 and are only ever increased in steps of ``step``.
+    Weights are at least 1; importance learning only ever raises them.
     """
 
     examples: list
     weights: np.ndarray = None
-    step: float = 0.1
 
     def __post_init__(self):
         if self.weights is None:
@@ -65,8 +64,6 @@ class WeightedExampleSet:
         if len(self.weights) != len(self.examples):
             raise DimensionMismatch(
                 f"{len(self.weights)} weights for {len(self.examples)} examples")
-        if self.step <= 0:
-            raise ValueError("weight step must be positive")
         if len(self.examples) and np.any(self.weights < 1.0):
             raise ValueError("weights must be >= 1")
 

@@ -27,6 +27,8 @@ HARMONIC_ORDERS = (2, 3, 4, 5, 6)
 # Ceilings within which the precision bounds of multishape.geometry hold.
 MAX_CANVAS_SIDE = 10**4
 MAX_K = 10**4
+# Ceiling on a scene's object count: each object gets a canvas-sized mask.
+MAX_OBJECTS = 10**3
 
 
 @dataclass(frozen=True)
@@ -50,6 +52,8 @@ class GeneratorConfig:
                 raise ValueError(f"{name} range must be ordered and positive")
         if not 0.0 <= self.boundary_noise_amplitude < 1.0:
             raise ValueError("boundary_noise_amplitude must be in [0, 1)")
+        if not self.n_objects[1] <= MAX_OBJECTS:
+            raise ValueError(f"n_objects may be at most {MAX_OBJECTS}")
         if not 3 <= self.k <= MAX_K:
             raise ValueError(f"k must be in [3, {MAX_K}]")
         if not max(self.canvas) <= MAX_CANVAS_SIDE:

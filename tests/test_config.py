@@ -7,7 +7,7 @@ import multishape as ms
 from multishape.cli import main
 from multishape.align import MAX_SCALES
 from multishape.config import MAX_ROTATION_PLAN, RunConfig, schema_keys
-from multishape.synthgen import MAX_CANVAS_SIDE, MAX_K
+from multishape.synthgen import MAX_CANVAS_SIDE, MAX_K, MAX_OBJECTS
 
 
 @pytest.fixture(autouse=True)
@@ -219,6 +219,8 @@ CEILING_CASES = [
     ({"generator.canvas": [256, 10001]}, MAX_CANVAS_SIDE),
     ({"k": 10**7}, MAX_K),
     ({"k": 10001}, MAX_K),
+    ({"generator.n_objects": [2, 1e9]}, MAX_OBJECTS),
+    ({"generator.n_objects": [2, MAX_OBJECTS + 1]}, MAX_OBJECTS),
 ]
 
 
@@ -249,6 +251,7 @@ def test_size_ceilings_exit2(tmp_path, capsys, values, ceiling):
     {"grid.r_min": 1.0, "grid.r_max": 1.0 + (MAX_SCALES - 1) * 0.125,
      "grid.r_step": 0.125},
     {"generator.canvas": [MAX_CANVAS_SIDE, MAX_CANVAS_SIDE]},
+    {"generator.n_objects": [MAX_OBJECTS, MAX_OBJECTS]},
 ])
 def test_values_at_the_ceilings_accepted(values):
     RunConfig.from_values(values)

@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -316,6 +318,50 @@ class TestHessian:
         assert np.array_equal(approx.matrix, np.eye(3))
 
 
+def hostile_scene(name):
+    """A scene whose polar grids reach the canvas edge, or whose clump is
+    tiny or huge against the model's shapes."""
+    if name == "pixel":
+        clump = np.zeros((32, 32), dtype=bool)
+        clump[16, 16] = True
+        centroids = [(16.5, 16.5)]
+    elif name == "line":
+        clump = np.zeros((48, 48), dtype=bool)
+        clump[20, 4:44] = True
+        centroids = [(10.5, 20.5), (30.5, 20.5)]
+    elif name == "full_canvas":
+        clump = np.ones((40, 40), dtype=bool)
+        centroids = [(12.0, 20.0), (28.0, 20.0)]
+    elif name == "corner":
+        clump = disk_mask((48, 48), (0.0, 0.0), 20.0)
+        centroids = [(4.0, 4.0), (12.5, 2.5)]
+    elif name == "row_1x200":
+        clump = np.ones((1, 200), dtype=bool)
+        centroids = [(60.5, 0.5), (140.5, 0.5)]
+    elif name == "column_200x1":
+        clump = np.ones((200, 1), dtype=bool)
+        centroids = [(0.5, 60.5), (0.5, 140.5)]
+    elif name == "small_on_1024":
+        clump = disk_mask((1024, 1024), (700.0, 300.0), 20.0)
+        centroids = [(692.0, 300.0), (708.0, 300.0)]
+    else:
+        assert name == "edge_63_999"
+        clump = disk_mask((64, 64), (63.999, 32.0), 14.0)
+        centroids = [(63.999, 32.0)]
+    return ms.ClumpScene(clump=clump, centroids=centroids, scene_id=name)
+
+
+HOSTILE_SCENES = ["pixel", "line", "full_canvas", "corner", "row_1x200",
+                  "column_200x1", "small_on_1024", "edge_63_999"]
+
+
+def pick_scene(tiny_dataset, index):
+    """``tiny_dataset[index]`` for an int, else the named hostile scene."""
+    if isinstance(index, int):
+        return tiny_dataset[index]
+    return hostile_scene(index)
+
+
 class TestEvolve:
     def test_immediate_halt_when_threshold_met(self):
         k = 72
@@ -366,11 +412,19 @@ class TestEvolve:
         dscs = [ms.dsc(m, t) for m, t in zip(masks, scene.truth)]
         assert np.mean(dscs) >= 0.80
 
-    @pytest.mark.parametrize("index", range(6))
+    # the hostile scenes grow their polar grids to the canvas edge, or
+    # hold a clump tiny or huge against the model's shapes
+    @pytest.mark.parametrize("index", list(range(6)) + HOSTILE_SCENES)
     def test_invariants_on_run(self, tiny_model, tiny_dataset, index):
-        scene = tiny_dataset[index]
+        scene = pick_scene(tiny_dataset, index)
         cfg = ms.EvolutionConfig(max_outer_iterations=60)
-        masks, state = ms.evolve(scene, tiny_model, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            masks, state = ms.evolve(scene, tiny_model, cfg)
+        # one clump-shaped boolean mask per object
+        assert len(masks) == scene.n_objects
+        for mask in masks:
+            assert mask.dtype == bool and mask.shape == scene.clump.shape
         # accepted energies strictly decreasing
         accepted = [row.energy for row in state.trace if row.accepted]
         assert all(a > b for a, b in zip(accepted, accepted[1:]))
@@ -446,3 +500,28 @@ class TestEvolve:
             ms.EvolutionConfig(energy_threshold_fraction=float("nan"))
         with pytest.raises(ValueError):
             ms.EvolutionConfig(max_outer_iterations=0)
+
+
+class TestGrowthHistory:
+    """A run's result does not depend on how far its grids were built."""
+
+    @pytest.mark.parametrize("index",
+                             list(range(6)) + ["corner", "row_1x200"])
+    def test_full_grids_same_result(self, tiny_model, tiny_dataset, index):
+        scene = pick_scene(tiny_dataset, index)
+        cfg = ms.EvolutionConfig(max_outer_iterations=60)
+        width, height = scene.dims
+        searchers = ms.scene_searchers(scene, tiny_model.k, cfg)
+        for searcher in searchers:
+            searcher.grid.cover(math.hypot(width, height))
+            assert searcher.grid.reach == np.inf
+        masks_a, state_a = ms.evolve(scene, tiny_model, cfg)
+        masks_b, state_b = ms.evolve(scene, tiny_model, cfg, searchers)
+        for a, b in zip(masks_a, masks_b, strict=True):
+            assert np.array_equal(a, b)
+        assert np.array_equal(state_a.x, state_b.x)
+        assert state_a.alignments == state_b.alignments
+        assert state_a.trace == state_b.trace
+        assert state_a.halted_reason == state_b.halted_reason
+        assert (state_a.energy, state_a.iteration) \
+            == (state_b.energy, state_b.iteration)

@@ -203,7 +203,7 @@ class TestLearn:
         # compared within one process, as eigh's last bits follow the BLAS
         examples = ms.importance.dataset_examples(dataset, step=cfg.step)
         rebuilt = build_model(
-            ms.WeightedExampleSet(examples.examples, weights, cfg.step),
+            ms.WeightedExampleSet(examples.examples, weights),
             cfg.variance_threshold)
         for name in ("mean", "basis", "eigenvalues", "weights",
                      "variance_fraction", "t"):

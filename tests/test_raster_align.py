@@ -341,7 +341,8 @@ class TestGridGrowth:
         small, full = grid_pair(center, k)
         bases = sorted({ms.geometry.split_rotation(t, k)[1]
                         for t in ms.GridSearchConfig().theta_values()})
-        # tables built before growth are extended, not rebuilt
+        # tables built before growth are dropped and rebuilt from the larger
+        # grid; the rebuilt tables must still equal the full grid's prefix
         for base in bases[:2]:
             small._sector_table(base)
         for extent in (3.0, 4.5, 11.0, 30.0, 90.0):

@@ -9,10 +9,10 @@ from conftest import disk_family_examples, disk_mask, ellipse_mask
 from oracles import full_ray_walk, ray_rectangle_exit
 
 
-def example_set(rows, weights=None, step=0.1):
+def example_set(rows, weights=None):
     examples = [ms.ShapeExample(f"s{i}", 0, np.asarray(r, dtype=float))
                 for i, r in enumerate(rows)]
-    return ms.WeightedExampleSet(examples, weights=weights, step=step)
+    return ms.WeightedExampleSet(examples, weights=weights)
 
 
 class TestSampling:
