@@ -50,7 +50,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CentroidOutsideMask
-from .geometry import TWO_PI, RadialGrid, reach_distance, split_rotation
+from .geometry import (
+    TWO_PI,
+    RadialGrid,
+    on_foreground,
+    reach_distance,
+    split_rotation,
+)
 from .raster import Alignment
 
 # Largest pixel block evaluated for all rotations at once; bounds the
@@ -124,8 +130,7 @@ class AlignmentSearcher:
         clump = np.asarray(clump, dtype=bool)
         height, width = clump.shape
         cx, cy = float(centroid[0]), float(centroid[1])
-        px, py = int(np.floor(cx)), int(np.floor(cy))
-        if not (0 <= px < width and 0 <= py < height) or not clump[py, px]:
+        if not on_foreground(clump, cx, cy):
             raise CentroidOutsideMask(
                 f"centroid ({cx}, {cy}) is not on clump foreground")
         self._clump = clump.reshape(-1)

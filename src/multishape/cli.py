@@ -45,6 +45,8 @@ OVERLAY_PALETTE = (
     (240, 240, 80), (240, 80, 240), (80, 240, 240),
 )
 CLUMP_GRAY = 96
+# pixel rates in report and CSV column order
+RATES = ("tpr", "tnr", "fpr", "fnr")
 
 
 def _fail(exc, prefix=""):
@@ -259,79 +261,68 @@ def cmd_segment(args):
     return codes[0] if codes else EXIT_OK
 
 
+def _read_predictions(pred_dir, scene):
+    """The masks ``<scene>_obj<i>.pgm`` for i = 0, 1, ..., one per truth."""
+    predicted = []
+    while os.path.exists(path := os.path.join(
+            pred_dir, f"{scene.scene_id}_obj{len(predicted)}.pgm")):
+        predicted.append(read_pgm(path))
+    if len(predicted) != len(scene.truth):
+        raise ConfigError(
+            f"{scene.scene_id}: {len(predicted)} predictions for "
+            f"{len(scene.truth)} truth masks")
+    return predicted
+
+
+def _stats(values):
+    return {"mean": float(np.mean(values)), "std": float(np.std(values))}
+
+
 def cmd_evaluate(args):
     cfg = _config_from_args(args)
-    scenes = _load_scenes(args.dataset)
-    scene_rows = []
-    all_reports = []
-    pixel_values = {"tpr": [], "tnr": [], "fpr": [], "fnr": []}
-    for scene in scenes:
+    if not os.path.isdir(args.pred):
+        raise DatasetIOError(f"--pred {args.pred} is not a directory")
+    # one row per scene: its pixel rates and its objects' reports
+    rows = []
+    for scene in _load_scenes(args.dataset):
         if scene.truth is None:
             raise DatasetIOError(f"{scene.scene_id}: no truth masks")
-        predicted = []
-        i = 0
-        while True:
-            path = os.path.join(args.pred, f"{scene.scene_id}_obj{i}.pgm")
-            if not os.path.exists(path):
-                break
-            predicted.append(read_pgm(path))
-            i += 1
-        if len(predicted) != len(scene.truth):
-            raise ConfigError(
-                f"{scene.scene_id}: {len(predicted)} predictions for "
-                f"{len(scene.truth)} truth masks")
+        predicted = _read_predictions(args.pred, scene)
         pix = pixel_metrics(predicted, scene.truth)
-        objects = []
-        for j, (pred, truth) in enumerate(zip(predicted, scene.truth)):
-            others = [t for m, t in enumerate(scene.truth) if m != j]
-            rep = object_report(j, pred, truth, others,
-                                scene.centroids[j], cfg.k)
-            objects.append(rep)
-            all_reports.append(rep)
-        for name in pixel_values:
-            pixel_values[name].append(getattr(pix, name))
-        scene_rows.append({
+        rows.append({
             "scene_id": scene.scene_id,
-            "tpr": pix.tpr, "tnr": pix.tnr, "fpr": pix.fpr, "fnr": pix.fnr,
-            "objects": [
-                {"object_id": r.object_id, "dsc": r.dsc,
-                 "overlapping_degree": r.overlapping_degree,
-                 "bin": r.bin_index, "isolated": r.isolated}
-                for r in objects
-            ],
+            **{name: getattr(pix, name) for name in RATES},
+            "objects": [object_report(j, pred, truth,
+                                      scene.truth[:j] + scene.truth[j + 1:],
+                                      scene.centroids[j], cfg.k)
+                        for j, (pred, truth)
+                        in enumerate(zip(predicted, scene.truth))],
         })
-
-    aggregate = {
-        name: {"mean": float(np.mean(vals)), "std": float(np.std(vals))}
-        for name, vals in pixel_values.items()
-    }
-    dsc_values = [r.dsc for r in all_reports]
-    aggregate["dsc"] = {"mean": float(np.mean(dsc_values)),
-                        "std": float(np.std(dsc_values))}
-    report = {
-        "scenes": scene_rows,
+    reports = [r for row in rows for r in row["objects"]]
+    aggregate = {name: _stats([row[name] for row in rows]) for name in RATES}
+    aggregate["dsc"] = _stats([r.dsc for r in reports])
+    _dump_json(args.report, {
+        "scenes": [{**row, "objects": [
+            {"object_id": r.object_id, "dsc": r.dsc,
+             "overlapping_degree": r.overlapping_degree,
+             "bin": r.bin_index, "isolated": r.isolated}
+            for r in row["objects"]]} for row in rows],
         "aggregate": aggregate,
-        "bins": bin_by_degree(all_reports),
-    }
-    _dump_json(args.report, report)
+        "bins": bin_by_degree(reports),
+    })
 
     if args.csv:
         text = io.StringIO()
         writer = csv.writer(text)
-        writer.writerow(["scene_id", "object_id", "dsc",
-                         "overlapping_degree", "bin", "isolated",
-                         "tpr", "tnr", "fpr", "fnr"])
-        for row in scene_rows:
-            for obj in row["objects"]:
-                writer.writerow([
-                    row["scene_id"], obj["object_id"],
-                    repr(obj["dsc"]), repr(obj["overlapping_degree"]),
-                    obj["bin"], int(obj["isolated"]),
-                    repr(row["tpr"]), repr(row["tnr"]),
-                    repr(row["fpr"]), repr(row["fnr"]),
-                ])
+        writer.writerow(["scene_id", "object_id", "dsc", "overlapping_degree",
+                         "bin", "isolated", *RATES])
+        writer.writerows(
+            [row["scene_id"], r.object_id, repr(r.dsc),
+             repr(r.overlapping_degree), r.bin_index, int(r.isolated),
+             *(repr(row[name]) for name in RATES)]
+            for row in rows for r in row["objects"])
         atomic_write(args.csv, text.getvalue())
-    print(f"evaluated {len(scenes)} scenes; "
+    print(f"evaluated {len(rows)} scenes; "
           f"dsc mean={aggregate['dsc']['mean']:.4f}")
     return EXIT_OK
 

@@ -9,7 +9,6 @@ overrides the generator seed last.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
@@ -17,6 +16,7 @@ from .align import GridSearchConfig
 from .errors import ConfigError
 from .evolution import EvolutionConfig
 from .importance import LearningConfig
+from .netpbm import finite_number
 from .synthgen import GeneratorConfig
 
 SEED_ENV_VAR = "MULTISHAPE_SEED"
@@ -29,28 +29,18 @@ _SHARED = ("k", "variance_threshold", "energy_threshold_fraction")
 MAX_ROTATION_PLAN = 2**20
 
 
-def _number(kind, value):
-    """``value`` as a finite number of type ``kind``, whole for an int."""
-    number = kind(value)
-    # a JSON true/false is no number, and a JSON 72.9 must not become 72
-    if isinstance(value, bool) or not math.isfinite(number) or (
-            isinstance(value, float) and number != value):
-        raise ValueError(value)
-    return number
-
-
 def _coerce(key, default, value):
     """Parse ``value`` to the type of the key's default."""
     try:
         if not isinstance(default, tuple):
-            return _number(type(default), value)
+            return finite_number(type(default), value)
         # pairs take the element type of the default's first element; int
         # and float ignore the spaces around a comma
         parts = value.split(",") if isinstance(value, str) else list(value)
         if len(parts) != 2:
             raise ValueError(value)
-        return tuple(_number(type(default[0]), part) for part in parts)
-    except (TypeError, ValueError, OverflowError) as exc:
+        return tuple(finite_number(type(default[0]), part) for part in parts)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for key {key!r}: {value!r}") from exc
 
 

@@ -132,6 +132,16 @@ def core_distance(extent, k):
     return extent * np.cos(0.5 * (TWO_PI / k)) - BOUND_MARGIN
 
 
+def on_foreground(mask, x, y):
+    """Whether the point (x, y) lies on a foreground pixel of ``mask``.
+
+    The point lies on pixel (floor(x), floor(y)); a point with a
+    non-finite coordinate lies on no pixel.
+    """
+    height, width = mask.shape
+    return 0 <= x < width and 0 <= y < height and bool(mask[int(y), int(x)])
+
+
 def reach_distance(extent):
     """Distance past which q > scale, for ``extent`` = scale * max(radii),
     since q >= d / max(radii).  Elementwise for an array of extents."""

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyTruth
 from .geometry import TWO_PI
+from .raster import union
 from .shape_model import DEFAULT_K, sample_shape_vector
 
 DEGREE_BIN_EDGES = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -62,15 +63,13 @@ def pixel_metrics(predicted, truth):
         raise EmptyTruth("no ground-truth masks")
     _check_dims(list(predicted) + list(truth))
 
-    pred_union = np.zeros_like(np.asarray(predicted[0], dtype=bool))
-    truth_union = np.zeros_like(pred_union)
+    pred_union = union(predicted)
+    truth_union = union(truth)
     fn_pixels = 0
     truth_pixels = 0
     for p, g in zip(predicted, truth):
         p = np.asarray(p, dtype=bool)
         g = np.asarray(g, dtype=bool)
-        pred_union |= p
-        truth_union |= g
         fn_pixels += int(np.count_nonzero(g & ~p))
         truth_pixels += int(np.count_nonzero(g))
 
@@ -110,9 +109,7 @@ def overlapping_degree(object_truth, other_truths, centroid, k=DEFAULT_K):
     radii = sample_shape_vector(object_truth, centroid, k)
     if not other_truths:
         return 0.0
-    others = np.zeros_like(object_truth)
-    for m in other_truths:
-        others |= np.asarray(m, dtype=bool)
+    others = union(other_truths)
     angles = TWO_PI * np.arange(k) / k
     x = centroid[0] + radii * np.cos(angles)
     y = centroid[1] + radii * np.sin(angles)

@@ -4,11 +4,13 @@ Masks go to binary PGM (P5) with foreground 255 and background 0; the
 reader also accepts ASCII PGM (P2) and treats any nonzero value as
 foreground.  Color overlays go to binary PPM (P6).  Every file the package
 writes, images and JSON or CSV documents alike, goes through
-:func:`atomic_write`: a temporary file and an atomic rename.
+:func:`atomic_write`: a temporary file and an atomic rename.  Numbers read
+from outside documents go through :func:`finite_number`.
 """
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -24,6 +26,23 @@ def atomic_write(path, data):
     with open(tmp, "wb") as fh:
         fh.write(data)
     os.replace(tmp, path)
+
+
+def finite_number(kind, value):
+    """``value`` as a finite number of type ``kind``, whole for an int.
+
+    The one rule for numbers read from outside documents (configuration,
+    ``scene.json``, model JSON); a value that breaks it raises ValueError.
+    """
+    try:
+        number = kind(value)
+        # a JSON true/false is no number, and a JSON 72.9 must not become 72
+        if isinstance(value, bool) or not math.isfinite(number) or (
+                isinstance(value, float) and number != value):
+            raise ValueError(value)
+    except OverflowError as exc:
+        raise ValueError(value) from exc
+    return number
 
 
 def write_pgm(path, mask):

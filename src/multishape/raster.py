@@ -50,6 +50,8 @@ def rasterize(radii, centroid, alignment, dims):
         raise ValueError("radii must be finite")
     if np.any(radii <= 0):
         raise ValueError("radii must be strictly positive")
+    if not np.all(np.isfinite(centroid)):
+        raise ValueError(f"centroid must be finite, got {centroid}")
     return box_mask(centroid, dims, radii, alignment.r, alignment.theta)
 
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CentroidOutsideMask, DimensionMismatch
+from .geometry import on_foreground
 
 
 @dataclass
@@ -28,10 +29,8 @@ class ClumpScene:
         self.centroids = [(float(x), float(y)) for x, y in self.centroids]
         if not self.centroids:
             raise DimensionMismatch("a scene needs at least one centroid")
-        height, width = self.clump.shape
         for i, (x, y) in enumerate(self.centroids):
-            px, py = int(np.floor(x)), int(np.floor(y))
-            if not (0 <= px < width and 0 <= py < height) or not self.clump[py, px]:
+            if not on_foreground(self.clump, x, y):
                 raise CentroidOutsideMask(
                     f"{self.scene_id}: centroid {i} at ({x}, {y}) "
                     "is not on clump foreground")

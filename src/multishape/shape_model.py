@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -22,8 +23,8 @@ from .errors import (
     EmptyExampleSet,
     RankDeficient,
 )
-from .geometry import TWO_PI
-from .netpbm import atomic_write
+from .geometry import TWO_PI, on_foreground
+from .netpbm import atomic_write, finite_number
 
 DEFAULT_K = 360
 DEFAULT_VARIANCE_THRESHOLD = 0.995
@@ -114,10 +115,8 @@ def sample_shape_vector(mask, centroid, k=DEFAULT_K):
     mask = np.asarray(mask, dtype=bool)
     if k < 3:
         raise ValueError("k must be at least 3")
-    height, width = mask.shape
     cx, cy = float(centroid[0]), float(centroid[1])
-    px, py = int(np.floor(cx)), int(np.floor(cy))
-    if not (0 <= px < width and 0 <= py < height) or not mask[py, px]:
+    if not on_foreground(mask, cx, cy):
         raise CentroidOutsideMask(f"centroid ({cx}, {cy}) is not on foreground")
 
     angles = TWO_PI * np.arange(k) / k
@@ -294,7 +293,8 @@ def load_model(path):
     mean = field("mean", _float_array)
     basis = field("basis", _float_array).T
     eigenvalues = field("eigenvalues", _float_array)
-    k, t = field("k", int), field("t", int)
+    whole = partial(finite_number, int)
+    k, t = field("k", whole), field("t", whole)
     if mean.shape != (k,) or basis.shape != (k, t) or eigenvalues.shape != (t,):
         raise DatasetIOError(f"{path}: model field shapes are inconsistent")
     for name, values in (("mean", mean), ("basis", basis),
@@ -310,7 +310,8 @@ def load_model(path):
         mean=mean,
         basis=basis,
         eigenvalues=eigenvalues,
-        variance_fraction=field("variance_fraction", float),
+        variance_fraction=field("variance_fraction",
+                                partial(finite_number, float)),
         k=k,
         t=t,
         weights=weights if weights.size else None,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CanvasTooSmall, DatasetIOError, ManifestMismatch
 from .geometry import TWO_PI
-from .netpbm import atomic_write, read_pgm, write_pgm
+from .netpbm import atomic_write, finite_number, read_pgm, write_pgm
 from .raster import Alignment, rasterize, union
 from .scene import ClumpScene
 from .shape_model import DEFAULT_K, RADIUS_FLOOR
@@ -173,20 +173,27 @@ def import_scene(scene_dir):
     """Load one scene directory written by :func:`export_dataset`."""
     entry = os.path.basename(scene_dir)
     manifest_path = os.path.join(scene_dir, "scene.json")
-    with open(manifest_path, "r", encoding="ascii") as fh:
-        try:
+    try:
+        with open(manifest_path, "r", encoding="ascii") as fh:
             doc = json.load(fh)
-            centroids = [(float(x), float(y)) for x, y in doc["centroids"]]
-            dims = tuple(int(v) for v in doc["dims"])
-            truth_count = int(doc.get("truth_count", 0))
-        except (ValueError, TypeError, KeyError) as exc:
-            raise DatasetIOError(
-                f"{manifest_path}: malformed scene manifest: "
-                f"{type(exc).__name__}: {exc}") from exc
-    clump_path = os.path.join(scene_dir, "clump.pgm")
-    if not os.path.exists(clump_path):
-        raise DatasetIOError(f"missing clump mask: {clump_path}")
-    clump = read_pgm(clump_path)
+        centroids = [(finite_number(float, x), finite_number(float, y))
+                     for x, y in doc["centroids"]]
+        dims = tuple(finite_number(int, v) for v in doc["dims"])
+        truth_count = finite_number(int, doc.get("truth_count", 0))
+        scene_id = doc.get("scene_id", entry)
+    except OSError as exc:
+        raise DatasetIOError(f"cannot read {manifest_path}: {exc}") from exc
+    except (ValueError, TypeError, KeyError) as exc:
+        raise DatasetIOError(
+            f"{manifest_path}: malformed scene manifest: "
+            f"{type(exc).__name__}: {exc}") from exc
+    # the id names the scene's output files, so it may name no directory
+    if not isinstance(scene_id, str) or scene_id in ("", ".", "..") or any(
+            c in scene_id for c in "/\\\0"):
+        raise DatasetIOError(
+            f"{manifest_path}: scene_id {scene_id!r} is not a file name")
+    # read_pgm reports a missing or unreadable mask as a DatasetIOError
+    clump = read_pgm(os.path.join(scene_dir, "clump.pgm"))
     if dims != clump.shape[::-1]:
         raise DatasetIOError(
             f"{entry}: scene.json dims {list(dims)} but clump.pgm is "
@@ -197,17 +204,13 @@ def import_scene(scene_dir):
             f"{truth_count} truth masks")
     truths = None
     if truth_count:
-        truths = []
-        for i in range(truth_count):
-            path = os.path.join(scene_dir, f"truth_{i}.pgm")
-            if not os.path.exists(path):
-                raise DatasetIOError(f"missing truth mask: {path}")
-            truths.append(read_pgm(path))
+        truths = [read_pgm(os.path.join(scene_dir, f"truth_{i}.pgm"))
+                  for i in range(truth_count)]
     return ClumpScene(
         clump=clump,
         centroids=centroids,
         truth=truths,
-        scene_id=doc.get("scene_id", entry),
+        scene_id=scene_id,
     )
 
 

@@ -216,6 +216,26 @@ class TestMalformedFiles:
         "no_centroids": lambda doc: json.dumps(
             {k: v for k, v in doc.items() if k != "centroids"}),
         "dims_mismatch": lambda doc: json.dumps({**doc, "dims": [95, 96]}),
+        # numbers past the finite, whole-for-an-int rule
+        "inf_dims": lambda doc: json.dumps(
+            {**doc, "dims": [float("inf"), 96]}),
+        "inf_truth_count": lambda doc: json.dumps(
+            {**doc, "truth_count": float("inf")}),
+        "inf_centroid": lambda doc: json.dumps(
+            {**doc, "centroids": [[float("inf"), 5]] + doc["centroids"][1:]}),
+        "nan_centroid": lambda doc: json.dumps(
+            {**doc, "centroids": [[float("nan"), 5]] + doc["centroids"][1:]}),
+        "fractional_dims": lambda doc: json.dumps(
+            {**doc, "dims": [96.5, 96]}),
+        # a scene_id names output files, so it must be one file name
+        "parent_scene_id": lambda doc: json.dumps(
+            {**doc, "scene_id": "../evil"}),
+        "nested_scene_id": lambda doc: json.dumps(
+            {**doc, "scene_id": "a/b"}),
+        "dot_scene_id": lambda doc: json.dumps({**doc, "scene_id": "."}),
+        "empty_scene_id": lambda doc: json.dumps({**doc, "scene_id": ""}),
+        "nul_scene_id": lambda doc: json.dumps({**doc, "scene_id": "a\0b"}),
+        "number_scene_id": lambda doc: json.dumps({**doc, "scene_id": 7}),
     }
     MODEL_EDITS = {
         "invalid_json": lambda doc: "[1, 2",
@@ -250,6 +270,10 @@ class TestMalformedFiles:
             {**doc, "basis": [[3.0 * v for v in doc["basis"][0]]]
              + doc["basis"][1:]}),
         "unknown_extra": lambda doc: json.dumps({**doc, "extra": 1}),
+        "inf_k": lambda doc: json.dumps({**doc, "k": float("inf")}),
+        "fractional_k": lambda doc: json.dumps({**doc, "k": doc["k"] + 0.5}),
+        "inf_variance_fraction": lambda doc: json.dumps(
+            {**doc, "variance_fraction": float("inf")}),
     }
 
     @staticmethod
@@ -359,31 +383,64 @@ class TestSegment:
     def test_bad_scene_isolated(self, tmp_path, capsys, jobs):
         data = tmp_path / "data"
         model = tmp_path / "m.json"
-        assert main(["generate", "--out", str(data), "--count", "3",
+        assert main(["generate", "--out", str(data), "--count", "5",
                      "--seed", "5"] + SMALL_ARGS) == 0
         assert main(["train", "--dataset", str(data), "--out", str(model)]
                     + SMALL_ARGS) == 0
-        # move one centroid of the middle scene onto the background corner
-        path = data / "scene_0001" / "scene.json"
-        doc = json.loads(path.read_text())
-        doc["centroids"][0] = [0.5, 0.5]
-        path.write_text(json.dumps(doc))
+        # scene 1: a centroid on the background corner; scene 2: a NaN
+        # centroid; scene 3: a directory in place of scene.json
+        for scene_id, centroid in (("scene_0001", [0.5, 0.5]),
+                                   ("scene_0002", [float("nan"), 5.0])):
+            path = data / scene_id / "scene.json"
+            doc = json.loads(path.read_text())
+            doc["centroids"][0] = centroid
+            path.write_text(json.dumps(doc))
+        (data / "scene_0003" / "scene.json").unlink()
+        (data / "scene_0003" / "scene.json").mkdir()
         out = tmp_path / "seg"
         code = main(["segment", "--model", str(model), "--dataset", str(data),
                      "--out", str(out), "--jobs", jobs] + SMALL_ARGS)
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:config: scene_0001: centroid")
+        assert "error:internal" not in err
+        assert [line.split(":")[1] for line in err.splitlines()] \
+            == ["config", "io", "io"]
         summary = json.loads((out / "segment_summary.json").read_text())
         scenes = {s["scene_id"]: s for s in summary["scenes"]}
-        assert sorted(scenes) == ["scene_0000", "scene_0001", "scene_0002"]
-        assert scenes["scene_0001"]["halted_reason"] == "error"
+        assert sorted(scenes) == [f"scene_{i:04d}" for i in range(5)]
         assert "not on clump foreground" in scenes["scene_0001"]["error"]
-        for scene_id in ("scene_0000", "scene_0002"):
+        assert "malformed scene manifest" in scenes["scene_0002"]["error"]
+        assert "cannot read" in scenes["scene_0003"]["error"]
+        for scene_id in ("scene_0001", "scene_0002", "scene_0003"):
+            assert scenes[scene_id]["halted_reason"] == "error"
+            assert not (out / f"{scene_id}_trace.json").exists()
+        for scene_id in ("scene_0000", "scene_0004"):
             assert scenes[scene_id]["halted_reason"] != "error"
             assert (out / f"{scene_id}_trace.json").exists()
-        assert not (out / "scene_0001_trace.json").exists()
         assert summary["mean_dsc"] >= 0.85
+
+    def test_writes_nothing_outside_out(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        model = tmp_path / "m.json"
+        assert main(["generate", "--out", str(data), "--count", "2",
+                     "--seed", "5"] + SMALL_ARGS) == 0
+        assert main(["train", "--dataset", str(data), "--out", str(model)]
+                    + SMALL_ARGS) == 0
+        path = data / "scene_0001" / "scene.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()),
+                                    "scene_id": "../evil"}))
+        root = tmp_path / "out"
+        root.mkdir()
+        code = main(["segment", "--model", str(model), "--dataset", str(data),
+                     "--out", str(root / "seg")] + SMALL_ARGS)
+        assert code == 3
+        assert "scene_id '../evil'" in capsys.readouterr().err
+        assert [p.name for p in root.iterdir()] == ["seg"]
+        assert sorted(p.name for p in (root / "seg").iterdir()) == [
+            "scene_0000_obj0.pgm", "scene_0000_obj1.pgm",
+            "scene_0000_overlay.ppm", "scene_0000_trace.json",
+            "segment_summary.json"]
 
     def test_jobs_capped_at_scene_count(self, tmp_path, monkeypatch):
         pools = []
@@ -485,6 +542,20 @@ class TestEvaluate:
                      "--report", str(tmp_path / "r.json")] + SMALL_ARGS)
         assert code == 2
         assert scene.scene_id in capsys.readouterr().err
+
+    def test_pred_not_a_directory_exit3(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["generate", "--out", str(data), "--count", "1",
+                     "--seed", "4"] + SMALL_ARGS) == 0
+        pred = tmp_path / "pred.pgm"
+        pred.write_bytes(b"")
+        for path in (pred, tmp_path / "none"):
+            code = main(["evaluate", "--pred", str(path), "--dataset",
+                         str(data), "--report", str(tmp_path / "r.json")]
+                        + SMALL_ARGS)
+            assert code == 3
+            assert capsys.readouterr().err.startswith("error:io:")
+        assert not (tmp_path / "r.json").exists()
 
     def test_report_rerun_byte_identical(self, tmp_path):
         data, model, out, report = run_pipeline(tmp_path, "det")

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import multishape as ms
-from conftest import disk_mask
+from conftest import disk_family_examples, disk_mask
+from hypothesis import given, settings, strategies as st
+from multishape.cli import main
 from oracles import naive_mask_energy
 
 
@@ -344,15 +346,28 @@ def hostile_scene(name):
     elif name == "small_on_1024":
         clump = disk_mask((1024, 1024), (700.0, 300.0), 20.0)
         centroids = [(692.0, 300.0), (708.0, 300.0)]
-    else:
-        assert name == "edge_63_999"
+    elif name == "edge_63_999":
         clump = disk_mask((64, 64), (63.999, 32.0), 14.0)
         centroids = [(63.999, 32.0)]
+    elif name == "ring":
+        clump = (disk_mask((64, 64), (32.0, 32.0), 24.0)
+                 & ~disk_mask((64, 64), (32.0, 32.0), 14.0))
+        centroids = [(51.5, 32.5)]
+    elif name == "six_on_one_pixel":
+        clump = disk_mask((48, 48), (24.0, 24.0), 14.0)
+        centroids = [(24.5, 24.5)] * 6
+    else:
+        assert name == "twenty_in_disc"
+        clump = disk_mask((120, 120), (60.0, 60.0), 56.0)
+        angles = 2 * np.pi * np.arange(20) / 20
+        centroids = [(60.0 + r * np.cos(a), 60.0 + r * np.sin(a))
+                     for r, a in zip(np.tile([14.0, 42.0], 10), angles)]
     return ms.ClumpScene(clump=clump, centroids=centroids, scene_id=name)
 
 
 HOSTILE_SCENES = ["pixel", "line", "full_canvas", "corner", "row_1x200",
-                  "column_200x1", "small_on_1024", "edge_63_999"]
+                  "column_200x1", "small_on_1024", "edge_63_999", "ring",
+                  "six_on_one_pixel", "twenty_in_disc"]
 
 
 def pick_scene(tiny_dataset, index):
@@ -360,6 +375,37 @@ def pick_scene(tiny_dataset, index):
     if isinstance(index, int):
         return tiny_dataset[index]
     return hostile_scene(index)
+
+
+def check_run(scene, model, cfg):
+    """Evolve ``scene`` with every warning an error; check the run's
+    invariants."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        masks, state = ms.evolve(scene, model, cfg)
+    # one clump-shaped boolean mask per object
+    assert len(masks) == scene.n_objects
+    for mask in masks:
+        assert mask.dtype == bool and mask.shape == scene.clump.shape
+    # accepted energies strictly decreasing
+    accepted = [row.energy for row in state.trace if row.accepted]
+    assert all(a > b for a, b in zip(accepted, accepted[1:]))
+    # steps stay inside the trust region; plateau-walk rows are bounded
+    # by the coarsest probe scale instead
+    for row in state.trace:
+        assert row.step_norm <= max(row.delta, 4 * ms.evolution.FD_STEP) + 1e-9
+    # coefficient box
+    bounds = np.tile(model.coefficient_bounds(), scene.n_objects)
+    assert np.all(np.abs(state.x) <= bounds + 1e-12)
+    # energy recomputation is exact
+    assert ms.energy(scene, model, state.x, state.alignments) == state.energy
+    # halting always terminates within the budget
+    assert state.iteration <= cfg.max_outer_iterations
+    assert state.halted_reason in ("energy_threshold", "no_decrease",
+                                   "max_iterations", "zero_gradient")
+    # the threshold halt is named exactly when the final energy is met
+    met = state.energy <= cfg.energy_threshold_fraction * scene.clump_area
+    assert (state.halted_reason == "energy_threshold") == met
 
 
 class TestEvolve:
@@ -418,34 +464,7 @@ class TestEvolve:
     def test_invariants_on_run(self, tiny_model, tiny_dataset, index):
         scene = pick_scene(tiny_dataset, index)
         cfg = ms.EvolutionConfig(max_outer_iterations=60)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            masks, state = ms.evolve(scene, tiny_model, cfg)
-        # one clump-shaped boolean mask per object
-        assert len(masks) == scene.n_objects
-        for mask in masks:
-            assert mask.dtype == bool and mask.shape == scene.clump.shape
-        # accepted energies strictly decreasing
-        accepted = [row.energy for row in state.trace if row.accepted]
-        assert all(a > b for a, b in zip(accepted, accepted[1:]))
-        # steps stay inside the trust region; plateau-walk rows are bounded
-        # by the coarsest probe scale instead
-        for row in state.trace:
-            assert row.step_norm <= max(row.delta,
-                                        4 * ms.evolution.FD_STEP) + 1e-9
-        # coefficient box
-        bounds = np.tile(tiny_model.coefficient_bounds(), scene.n_objects)
-        assert np.all(np.abs(state.x) <= bounds + 1e-12)
-        # energy recomputation is exact
-        assert ms.energy(scene, tiny_model, state.x, state.alignments) \
-            == state.energy
-        # halting always terminates within the budget
-        assert state.iteration <= cfg.max_outer_iterations
-        assert state.halted_reason in ("energy_threshold", "no_decrease",
-                                       "max_iterations", "zero_gradient")
-        # the threshold halt is named exactly when the final energy is met
-        met = state.energy <= cfg.energy_threshold_fraction * scene.clump_area
-        assert (state.halted_reason == "energy_threshold") == met
+        check_run(scene, tiny_model, cfg)
 
     def test_deterministic_traces(self, tiny_model, tiny_dataset):
         scene = tiny_dataset[3]
@@ -525,3 +544,78 @@ class TestGrowthHistory:
         assert state_a.halted_reason == state_b.halted_reason
         assert (state_a.energy, state_a.iteration) \
             == (state_b.energy, state_b.iteration)
+
+
+@st.composite
+def small_scenes(draw, scene_id="small"):
+    """Scenes on canvases up to 48 x 48: unions of disks that may cross the
+    canvas edge, with an optional hole and a 1 px neck, and 1-4 centroids
+    on foreground pixels, canvas-edge pixels and pixel borders included,
+    possibly repeated."""
+    width, height = draw(st.integers(1, 48)), draw(st.integers(1, 48))
+    dims = (width, height)
+
+    def disk():
+        center = (draw(st.floats(-4.0, width + 4.0)),
+                  draw(st.floats(-4.0, height + 4.0)))
+        return disk_mask(dims, center, draw(st.floats(0.5, 20.0)))
+
+    clump = np.zeros((height, width), dtype=bool)
+    for _ in range(draw(st.integers(1, 3))):
+        clump |= disk()
+    if draw(st.booleans()):
+        clump &= ~disk()
+    if draw(st.booleans()):
+        row = draw(st.integers(0, height - 1))
+        clump[row, draw(st.integers(0, width - 1)):] = True
+    if not clump.any():
+        clump[draw(st.integers(0, height - 1)),
+              draw(st.integers(0, width - 1))] = True
+    border = np.ones_like(clump)
+    border[1:-1, 1:-1] = False
+    pixels, edge = np.argwhere(clump), np.argwhere(clump & border)
+    centroids = []
+    for _ in range(draw(st.integers(1, 4))):
+        if centroids and draw(st.booleans()):
+            centroids.append(draw(st.sampled_from(centroids)))
+            continue
+        pool = edge if len(edge) and draw(st.booleans()) else pixels
+        py, px = pool[draw(st.integers(0, len(pool) - 1))]
+        offset = st.sampled_from([0.0, 0.5, 0.999])
+        centroids.append((px + draw(offset), py + draw(offset)))
+    return ms.ClumpScene(clump=clump, centroids=centroids, scene_id=scene_id)
+
+
+@pytest.fixture(scope="module")
+def k36_model():
+    examples = disk_family_examples(k=36, radius_lo=4.0, radius_hi=16.0)
+    return ms.build_model(ms.WeightedExampleSet(examples))
+
+
+SMALL_CFG = ms.EvolutionConfig(max_outer_iterations=30)
+
+
+class TestSmallScenes:
+    """Any valid small scene evolves cleanly, and ``segment`` on a dataset
+    of them exits with a documented code."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              database=None)
+    @given(scene=small_scenes())
+    def test_evolve_invariants(self, k36_model, scene):
+        check_run(scene, k36_model, SMALL_CFG)
+
+    @settings(max_examples=6, deadline=None, derandomize=True,
+              database=None)
+    @given(scenes=st.integers(1, 3).flatmap(lambda n: st.tuples(
+        *(small_scenes(f"s{i}") for i in range(n)))))
+    def test_segment_exit_code(self, k36_model, tmp_path_factory, scenes):
+        root = tmp_path_factory.mktemp("small")
+        ms.export_dataset(scenes, root / "data")
+        ms.save_model(k36_model, root / "model.json")
+        code = main(["segment", "--model", str(root / "model.json"),
+                     "--dataset", str(root / "data"), "--out",
+                     str(root / "seg"), "--k", "36",
+                     "--evolution.max_outer_iterations",
+                     str(SMALL_CFG.max_outer_iterations)])
+        assert code in (0, 2, 3)

@@ -171,6 +171,12 @@ class TestBoxRaster:
         with pytest.raises(ValueError, match=problem):
             ms.rasterize(radii, (8.0, 8.0), ms.Alignment(), (16, 16))
 
+    @pytest.mark.parametrize("centroid", [(np.nan, 8.0), (8.0, np.inf),
+                                          (-np.inf, 8.0)])
+    def test_non_finite_centroid_named(self, centroid):
+        with pytest.raises(ValueError, match="centroid"):
+            ms.rasterize(np.full(4, 4.0), centroid, ms.Alignment(), (16, 16))
+
     @pytest.mark.parametrize("fields, problem", [
         (dict(r=np.nan), "scale"), (dict(r=np.inf), "scale"),
         (dict(r=0.0), "scale"), (dict(r=-1.0), "scale"),
@@ -639,6 +645,19 @@ class TestAlign:
         clump = disk_mask((32, 32), (16.0, 16.0), 5.0)
         with pytest.raises(ms.CentroidOutsideMask):
             ms.align(np.full(36, 4.0), (2.0, 2.0), clump)
+
+    # on the background, off the canvas, or not finite
+    @pytest.mark.parametrize("point", [
+        (2.0, 2.0), (-0.5, 16.0), (32.0, 16.0), (16.0, 32.5),
+        (np.nan, 16.0), (16.0, np.inf), (-np.inf, 16.0), (np.inf, np.nan)])
+    def test_one_centroid_rule(self, point):
+        """Scenes, searchers and the ray sampler reject the same points."""
+        clump = disk_mask((32, 32), (16.0, 16.0), 5.0)
+        for build in (lambda: ms.ClumpScene(clump, [point]),
+                      lambda: ms.AlignmentSearcher(point, clump, 36),
+                      lambda: ms.sample_shape_vector(clump, point, 36)):
+            with pytest.raises(ms.CentroidOutsideMask):
+                build()
 
 
 MASKS = arrays(bool, st.tuples(st.integers(1, 24), st.integers(1, 24)))
