@@ -32,12 +32,16 @@ and rotations that can matter:
    every rotation, and pixels past the reach of r are outside, so one
    ``searchsorted`` counts the core and only the annulus between is
    evaluated.
-3. **Lower-scale rotations are pruned by a sector bound.**  A rotation
+3. **Lower-scale rotations are pruned by an area ceiling.**  A rotation
    whose largest feasible scale is smaller loses every tie against a top
    rotation (equal areas go to the larger scale), so it can win only with a
-   strictly larger area.  A pixel of sector m is inside at scale r only if
-   d <= r * max(radii[m], radii[m + 1]), so per-sector cumulative distance
-   counts give an upper bound on its area in O(K).  Rotations whose bound
+   strictly larger area.  A shape at scale r holds at most
+   ``r**2 * A1 + (sqrt(2)/2) * r * P1 + theta_plus / 4`` pixels, with A1
+   and P1 the area and perimeter of the polygon at scale 1 and theta_plus
+   the sum of its convex vertices' exterior angles: the counted pixels'
+   disjoint unit squares lie within sqrt(2)/2 of the polygon.  The ceiling
+   depends on neither rotation nor center, so it costs O(K) per search
+   (:func:`multishape.geometry.area_ceiling`).  Rotations whose ceiling
    does not exceed the best top area cannot win and are skipped; the rest
    are counted exactly, in one batch, over their annulus.
 """
@@ -53,6 +57,7 @@ from .errors import CentroidOutsideMask
 from .geometry import (
     TWO_PI,
     RadialGrid,
+    area_ceiling,
     on_foreground,
     reach_distance,
     split_rotation,
@@ -98,14 +103,17 @@ def _rotation_plan(k, theta_count):
     """``(roll_index, offset_rows)`` of the grid rotations at K radii.
 
     Rotation t is the radii rolled by ``roll_index[t]`` at one of the few
-    table offsets; ``offset_rows`` pairs each offset with the rotations
-    sharing it, which are evaluated in one batch.  The plan depends only on
-    K and the rotation count, so every searcher shares one read-only copy.
+    table offsets; the index has K + 1 columns, the last repeating the
+    first, so ``(1 / radii)[roll_index]`` holds the
+    :func:`multishape.geometry.wrapped_inverse` of every rotation.
+    ``offset_rows`` pairs each offset with the rotations sharing it, which
+    are evaluated in one batch.  The plan depends only on K and the
+    rotation count, so every searcher shares one read-only copy.
     """
     thetas = GridSearchConfig(theta_count=theta_count).theta_values()
     splits = [split_rotation(theta, k) for theta in thetas]
     shifts = np.array([shift for shift, _ in splits])
-    roll_index = (np.arange(k)[None, :] - shifts[:, None]) % k
+    roll_index = (np.arange(k + 1)[None, :] - shifts[:, None]) % k
     roll_index.setflags(write=False)
     bases = [base for _, base in splits]
     offset_rows = []
@@ -167,21 +175,23 @@ class AlignmentSearcher:
                 ~self._clump[self.grid.flat_index])
             self._synced = self.grid.size
 
-    def _groups(self, selected):
-        """``(base, rows)`` per table offset: the ``selected`` rotations
-        sharing it, skipping offsets with none."""
+    def _rotated_q(self, inverse, selected, index):
+        """``(rows, q)`` per table offset: the ``selected`` rotations sharing
+        it and their containment values at ``index``, one row per rotation;
+        offsets with no selected rotation are skipped.
+
+        ``inverse`` holds the wrapped inverse radii of every rotation.
+        """
         for base, rows in self._offset_rows:
             rows = rows[selected[rows]]
             if rows.size:
-                yield base, rows
+                # every rotation, in order: the stack itself, not a copy
+                part = inverse if rows.size == inverse.shape[0] \
+                    else inverse[rows]
+                yield rows, self.grid.q_values(None, base, index,
+                                               inverse=part)
 
-    def _rotated_q(self, stack, selected, index):
-        """``(rows, q)`` per table offset: the ``selected`` rotations sharing
-        it and their containment values at ``index``, one row per rotation."""
-        for base, rows in self._groups(selected):
-            yield rows, self.grid.q_values(stack[rows], base, index)
-
-    def _background_min(self, stack, max_s, cap):
+    def _background_min(self, inverse, max_s, cap):
         """Certified per-rotation minimum containment value over background.
 
         Background pixels are scanned outward in growing chunks.  Rotation t
@@ -196,7 +206,7 @@ class AlignmentSearcher:
         exact, but it stays above ``cap``.
         """
         self._sync_background()
-        minimum = np.full(stack.shape[0], np.inf)
+        minimum = np.full(inverse.shape[0], np.inf)
         start = 0
         chunk = 256
         while True:
@@ -217,31 +227,31 @@ class AlignmentSearcher:
                                      np.searchsorted(dist, farthest,
                                                      side="right"))
             stop = min(positions.size, start + chunk, int(within))
-            for rows, q in self._rotated_q(stack, active,
+            for rows, q in self._rotated_q(inverse, active,
                                            positions[start:stop]):
                 minimum[rows] = np.minimum(minimum[rows], q.min(axis=1))
             start = stop
             chunk = min(4 * chunk, MAX_CHUNK)
         return minimum
 
-    def _inside_counts(self, stack, selected, r, lo, hi, where=None):
+    def _inside_counts(self, inverse, selected, r, lo, hi, where=None):
         """Per-rotation count of grid pixels ``lo:hi`` inside at scale ``r``.
 
         ``r`` holds one scale per rotation; only ``selected`` rotations are
         counted, the others read 0.  ``where`` restricts the count to a
         subset of the grid pixels.
         """
-        counts = np.zeros(stack.shape[0], dtype=np.int64)
+        counts = np.zeros(inverse.shape[0], dtype=np.int64)
         for start in range(lo, hi, MAX_CHUNK):
             block = slice(start, min(hi, start + MAX_CHUNK))
-            for rows, q in self._rotated_q(stack, selected, block):
+            for rows, q in self._rotated_q(inverse, selected, block):
                 inside = q <= r[rows, None]
                 if where is not None:
                     inside &= where[block]
                 counts[rows] += np.count_nonzero(inside, axis=1)
         return counts
 
-    def _areas(self, stack, selected, r, min_s, max_s):
+    def _areas(self, inverse, selected, r, min_s, max_s):
         """Exact areas of the ``selected`` rotations at their scales ``r``;
         the entries of the other rotations are meaningless.
 
@@ -251,15 +261,7 @@ class AlignmentSearcher:
         """
         lo = int(self.grid.core_stop(float(r[selected].min()) * min_s))
         hi = int(self.grid.reach_stop(float(r[selected].max()) * max_s))
-        return lo + self._inside_counts(stack, selected, r, lo, hi)
-
-    def _area_bounds(self, stack, selected, r):
-        """Upper bounds on the areas of the ``selected`` rotations at ``r``;
-        the other rotations read 0."""
-        bounds = np.zeros(stack.shape[0], dtype=np.int64)
-        for base, rows in self._groups(selected):
-            bounds[rows] = self.grid.area_bound(stack[rows], r[rows], base)
-        return bounds
+        return lo + self._inside_counts(inverse, selected, r, lo, hi)
 
     def search(self, radii):
         """Best alignment for one radii vector, with deterministic ties.
@@ -281,25 +283,27 @@ class AlignmentSearcher:
           reach of that scale (:meth:`RadialGrid.core_stop`);
         - a rotation at a smaller scale beats them only with a strictly
           larger area, since equal areas go to the larger scale, so it is
-          counted only if its sector bound (:meth:`RadialGrid.area_bound`)
-          exceeds their best area.
+          counted only if the area ceiling of its scale
+          (:func:`multishape.geometry.area_ceiling`) exceeds their best
+          area.
         """
         radii = np.asarray(radii, dtype=np.float64)
         if radii.size != self.grid.k:
             raise ValueError(f"radii length {radii.size} != searcher k {self.grid.k}")
         max_s = float(radii.max())
         rs = self._r_values
-        stack = radii[self._roll_index]
-        min_bg = self._background_min(stack, max_s, float(rs[-1]))
+        # every q of the search reads this one stack of T rolled shapes
+        inverse = (1.0 / radii)[self._roll_index]
+        min_bg = self._background_min(inverse, max_s, float(rs[-1]))
         # number of scales strictly below each rotation's background minimum
         n_feasible = np.searchsorted(rs, min_bg, side="left")
         top = n_feasible.max()
         if top == 0:
-            every = np.ones(stack.shape[0], dtype=bool)
-            r0 = np.full(stack.shape[0], rs[0])
+            every = np.ones(inverse.shape[0], dtype=bool)
+            r0 = np.full(inverse.shape[0], rs[0])
             stop = int(self.grid.reach_stop(float(rs[0]) * max_s))
             background = ~self._clump[self.grid.flat_index[:stop]]
-            outside = self._inside_counts(stack, every, r0, 0, stop,
+            outside = self._inside_counts(inverse, every, r0, 0, stop,
                                           background)
             best = np.argmin(outside)
             return Alignment(r=float(rs[0]),
@@ -308,13 +312,13 @@ class AlignmentSearcher:
         # infeasible rotations get rs[0]; they are never counted
         r = rs[np.maximum(n_feasible, 1) - 1]
         counted = n_feasible == top
-        area = self._areas(stack, counted, r, min_s, max_s)
+        area = self._areas(inverse, counted, r, min_s, max_s)
         lower = (n_feasible > 0) & ~counted
         if lower.any():
-            contenders = lower & (self._area_bounds(stack, lower, r)
+            contenders = lower & (area_ceiling(radii, r)
                                   > area[counted].max())
             if contenders.any():
-                area[contenders] = self._areas(stack, contenders, r, min_s,
+                area[contenders] = self._areas(inverse, contenders, r, min_s,
                                                max_s)[contenders]
                 counted |= contenders
         candidates = np.flatnonzero(counted)

@@ -32,6 +32,7 @@ from .synthgen import (
     generate_batch,
     import_dataset,
     import_scene,
+    read_manifest,
     scene_dirs,
 )
 
@@ -64,11 +65,33 @@ def _config_from_args(args):
     return RunConfig.load(path=args.config, overrides=args.overrides)
 
 
+def _check_unique(scene_ids, path):
+    """Reject a dataset in which two scenes share a scene_id, since the id
+    names every output file of its scene."""
+    seen = set()
+    for scene_id in scene_ids:
+        if scene_id in seen:
+            raise DatasetIOError(
+                f"{path}: scene_id {scene_id!r} names more than one scene")
+        seen.add(scene_id)
+
+
 def _load_scenes(path):
     scenes = sorted(import_dataset(path), key=lambda scene: scene.scene_id)
     if not scenes:
         raise DatasetIOError(f"no scenes found in {path}")
+    _check_unique([scene.scene_id for scene in scenes], path)
     return scenes
+
+
+def _manifest_ids(paths):
+    """The scene_ids of the readable manifests among the scene directories
+    ``paths``; an unreadable one fails only its own scene, later."""
+    for scene_dir in paths:
+        try:
+            yield read_manifest(scene_dir)[3]
+        except DatasetIOError:
+            continue
 
 
 def cmd_generate(args):
@@ -227,6 +250,7 @@ def cmd_segment(args):
     scenes = scene_dirs(args.dataset)
     if not scenes:
         raise DatasetIOError(f"no scenes found in {args.dataset}")
+    _check_unique(_manifest_ids(scenes), args.dataset)
     os.makedirs(args.out, exist_ok=True)
 
     # at most one worker per scene; fork starts them all at the first submit

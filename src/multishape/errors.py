@@ -53,5 +53,5 @@ class DatasetIOError(MultishapeError):
     """A dataset file is missing or unreadable."""
 
 
-class ManifestMismatch(MultishapeError):
-    """Scene manifest disagrees with the files on disk."""
+class ManifestMismatch(DatasetIOError):
+    """Scene manifest disagrees with itself or with the files on disk."""

@@ -229,9 +229,10 @@ class _Fit:
     """One scored hypothesis for every object of a scene.
 
     ``c`` holds the normalized coefficients, one row per object, and
-    ``radii`` their shapes; ``masks`` are flat over the clump's pixels and
-    ``energy`` scores their union.  A fit is never mutated: every move builds
-    a new one with :meth:`_SceneEngine.revise`.
+    ``radii`` their shapes; ``masks`` are flat over the clump's pixels, each
+    the grid mask of its object's radii at its alignment (the probe table
+    relies on it), and ``energy`` scores their union.  A fit is never
+    mutated: every move builds a new one with :meth:`_SceneEngine.revise`.
     """
 
     c: np.ndarray
@@ -294,12 +295,16 @@ class _SceneEngine:
         c = fit.c if c is None else c
         alignments = fit.alignments if alignments is None else tuple(alignments)
         radii, masks = list(fit.radii), list(fit.masks)
+        reshaped = [i for i in range(self.n)
+                    if not np.array_equal(c[i], fit.c[i])]
+        if reshaped:
+            # one batched call; each row equals its own call, bitwise
+            rows = synthesize(self.model,
+                              self.raw_from_normalized(c[reshaped]))
+            for i, row in zip(reshaped, rows):
+                radii[i] = row
         for i in range(self.n):
-            reshaped = not np.array_equal(c[i], fit.c[i])
-            if reshaped:
-                radii[i] = synthesize(self.model,
-                                      self.raw_from_normalized(c[i]))
-            if reshaped or alignments[i] != fit.alignments[i]:
+            if i in reshaped or alignments[i] != fit.alignments[i]:
                 masks[i] = self.object_mask(i, radii[i], alignments[i])
         return _Fit(c, tuple(radii), alignments, tuple(masks),
                     self.total_energy(masks))
@@ -307,32 +312,34 @@ class _SceneEngine:
     def _probe_table(self, fit, h):
         """Exact joint energies of every +-h single-coordinate move.
 
-        Batched per object: probes change one object, so the other masks
-        contribute a precomputed constant plus a shared restriction to the
-        object's reachable pixels.
+        A probe changes one object, and its shape differs from the fit's
+        only on the fit's boundary band
+        (:meth:`multishape.geometry.RadialGrid.inside_near`), so its energy
+        is the fit's, corrected on the band pixels alone.  All probes are
+        synthesized in one batch.
         """
-        energies = np.zeros((self.n, 2 * self.t), dtype=np.int64)
-        for i in range(self.n):
-            others = union((np.zeros_like(self.bc),)
-                           + fit.masks[:i] + fit.masks[i + 1:])
-            probes = np.repeat(fit.c[i][None, :], 2 * self.t, axis=0)
-            idx = np.arange(self.t)
-            probes[2 * idx, idx] += h
-            probes[2 * idx + 1, idx] -= h
-            radii = synthesize(self.model, self.raw_from_normalized(probes))
-            # pixels beyond every probe's reach keep their mismatch, and the
-            # core pixels, inside every probe, mismatch where off the clump
+        n, t = self.n, self.t
+        probes = np.repeat(fit.c, 2 * t, axis=0).reshape(n, 2 * t, t)
+        idx = np.arange(t)
+        probes[:, 2 * idx, idx] += h
+        probes[:, 2 * idx + 1, idx] -= h
+        radii = synthesize(self.model, self.raw_from_normalized(
+            probes.reshape(-1, t))).reshape(n, 2 * t, -1)
+        energies = np.empty((n, 2 * t), dtype=np.int64)
+        for i in range(n):
             grid = self.searchers[i].grid
             alignment = fit.alignments[i]
-            lo, stop, inside = grid.inside(radii, alignment.r,
-                                           alignment.theta)
-            near = grid.flat_index[:stop]
-            diff = others ^ self.bc
-            constant = (np.count_nonzero(diff) - np.count_nonzero(diff[near])
-                        + np.count_nonzero(~self.bc[near[:lo]]))
-            ring = near[lo:]
-            mismatch = (others[ring] | inside) ^ self.bc[ring]
-            energies[i] = constant + np.count_nonzero(mismatch, axis=1)
+            band, band_inside = grid.inside_near(
+                fit.radii[i], radii[i], alignment.r, alignment.theta)
+            edge = grid.flat_index[band]
+            others = np.zeros(edge.size, dtype=bool)
+            for j in range(n):
+                if j != i:
+                    others |= fit.masks[j][edge]
+            clump = self.bc[edge]
+            before = np.count_nonzero((others | fit.masks[i][edge]) ^ clump)
+            after = np.count_nonzero((others | band_inside) ^ clump, axis=1)
+            energies[i] = fit.energy - before + after
         return energies
 
     @staticmethod

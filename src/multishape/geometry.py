@@ -61,19 +61,36 @@ lies between d and d / cos(pi/K).  Hence
     d / max(r[m], r[m + 1])  <=  q  <=  d / (min(radii) * cos(pi/K)),
 
 so pixels within r * min(radii) * cos(pi/K) are inside at every rotation
-(:func:`core_distance`), and a pixel of sector m can only be inside at
-scale r when d <= r * max(r[m], r[m + 1]), which per-sector distance counts
-turn into an upper bound on the area (:meth:`RadialGrid.area_bound`).  Both
-pixel orders skip the certified core: they evaluate q only on the annulus
-between the core and the reach r * max(radii) (:func:`reach_distance`).
-Every bound is widened by BOUND_MARGIN, which suffices: rounding (~1e-14
-relative, times 1/sin(2*pi/K) through the angle) and EDGE_CLOSURE move q by
-a few times 1e-12 relative, under 1e-7 px of distance on canvases up to
-10^4 px.
+(:func:`core_distance`).  Both pixel orders skip the certified core: they
+evaluate q only on the annulus between the core and the reach
+r * max(radii) (:func:`reach_distance`).  The same sum bounds how far q
+moves when the radii change: two shapes whose inverse radii differ by at
+most delta give any pixel q values at most delta * d / cos(pi/K) apart, so
+a batch of shapes near a reference one is evaluated only on the reference's
+boundary band (:meth:`RadialGrid.inside_near`).  Every bound is widened by
+BOUND_MARGIN, which suffices: rounding (~1e-14 relative, times
+1/sin(2*pi/K) through the angle) and EDGE_CLOSURE move q by a few times
+1e-12 relative, under 1e-7 px of distance on canvases up to 10^4 px.
+
+The area of a shape has a ceiling that depends on neither rotation nor
+center (:func:`area_ceiling`).  A pixel is inside only if its center lies
+in the polygon, so its unit square lies within sqrt(2)/2 of the polygon,
+and disjoint squares fit in the polygon's sqrt(2)/2-parallel body.  That
+body is covered by the polygon, one outward rectangle per edge and one
+circular sector per convex vertex, whose angle is the vertex's exterior
+angle (a reflex vertex is never a nearest boundary point from outside).
+So a shape at scale r holds at most
+
+    r**2 * A1 + rho * r * P1 + rho**2 * theta_plus / 2
+
+pixels, with rho = sqrt(2)/2, A1 and P1 the area and perimeter of the
+shape at scale 1, and theta_plus the sum of its convex vertices' exterior
+angles.  BOUND_MARGIN widens rho.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -93,9 +110,6 @@ EDGE_CLOSURE = 1.0 - 1e-12
 # of all growths stays within a constant multiple of the last box's;
 # a small factor keeps the grid close to what was asked for.
 GROWTH = 1.25
-
-# Distance bin width of the per-sector pixel counts behind area_bound.
-SECTOR_BIN = 1.0
 
 # Resolution of a rotation's fractional sector offset.  A power of two, so
 # snapping is exact; coarse enough that every theta of one exact offset,
@@ -187,7 +201,7 @@ def sector_entries(phi, dist, base, k):
     """
     sector = TWO_PI / k
     phi_rel = np.mod(phi - base, TWO_PI)
-    m = (phi_rel / sector).astype(np.int32)
+    m = (phi_rel / sector).astype(np.intp)
     np.minimum(m, k - 1, out=m)
     edge = sector * m
     scale = dist * (EDGE_CLOSURE / np.sin(sector))
@@ -196,24 +210,71 @@ def sector_entries(phi, dist, base, k):
     return m, coef_a, coef_b
 
 
-def sector_q(radii, shift, m, coef_a, coef_b):
-    """q of the pixels with table entries ``(m, coef_a, coef_b)``.
+def wrapped_inverse(radii, shift=0):
+    """Inverse radii rolled by ``shift`` sectors, with the first repeated.
 
-    ``radii`` is a (k,) vector or an (n, k) batch, rolled here by the
-    whole-sector ``shift`` of the rotation whose fractional offset the
-    entries were built at.  The result has shape (p,) or (n, p).
+    ``radii`` is a (k,) vector or an (n, k) batch; the result has k + 1
+    entries per row, so entry m + 1 is the second vertex of sector m.
+    Rolling by ``shift`` rotates the shape by whole sectors (see
+    :func:`split_rotation`).
     """
     inv = 1.0 / radii
-    if shift:
-        inv = np.roll(inv, shift, axis=-1)
-    # inv[..., 1:][m] is the sector's second vertex, m + 1 mod K
-    inv = np.concatenate([inv, inv[..., :1]], axis=-1)
-    q = np.take(inv[..., 1:], m, axis=-1)
+    start = -shift % inv.shape[-1]
+    return np.concatenate([inv[..., start:], inv[..., :start],
+                           inv[..., start:start + 1]], axis=-1)
+
+
+def sector_q(inverse, m, coef_a, coef_b):
+    """q of the pixels with table entries ``(m, coef_a, coef_b)``.
+
+    ``inverse`` is the :func:`wrapped_inverse` of a (k,) vector or an (n, k)
+    batch of radii, rolled by the whole-sector shift of the rotation whose
+    fractional offset the entries were built at.  The result has shape (p,)
+    or (n, p).
+    """
+    q = np.take(inverse[..., 1:], m, axis=-1)
     q *= coef_a
-    term = np.take(inv, m, axis=-1)
+    term = np.take(inverse, m, axis=-1)
     term *= coef_b
     q += term
     return q
+
+
+@functools.lru_cache(maxsize=8)
+def _wrapped_directions(k):
+    """Unit vectors at the angles 2*pi*j/k for j = 0, ..., k - 1, 0, 1."""
+    angles = TWO_PI * (np.arange(k + 2) % k) / k
+    directions = np.cos(angles), np.sin(angles)
+    for array in directions:
+        array.setflags(write=False)
+    return directions
+
+
+def area_ceiling(radii, r):
+    """Most pixels the shape ``radii`` can hold at the scales ``r``.
+
+    Elementwise in ``r``, and valid at every rotation and center (see the
+    module docstring): ``r**2 * A1 + rho * r * P1 + rho**2 * theta_plus /
+    2`` with rho = sqrt(2)/2 + BOUND_MARGIN, whose margin also covers
+    EDGE_CLOSURE and the rounding of q and of this sum.
+    """
+    radii = np.asarray(radii, dtype=np.float64)
+    k = radii.size
+    cos, sin = _wrapped_directions(k)
+    ring = np.concatenate([radii, radii[:2]])
+    x, y = ring * cos, ring * sin
+    # edge j runs from vertex j to vertex j + 1, for j = 0, ..., k; vertex
+    # j + 1 turns from edge j to edge j + 1, by a positive angle where it
+    # is convex
+    ex, ey = x[1:] - x[:-1], y[1:] - y[:-1]
+    turn = np.arctan2(ex[:-1] * ey[1:] - ey[:-1] * ex[1:],
+                      ex[:-1] * ex[1:] + ey[:-1] * ey[1:])
+    area = 0.5 * math.sin(TWO_PI / k) * float(ring[:k] @ ring[1:k + 1])
+    perimeter = float(np.hypot(ex[:k], ey[:k]).sum())
+    theta_plus = float(np.maximum(turn, 0.0).sum())
+    rho = math.sqrt(0.5) + BOUND_MARGIN
+    r = np.asarray(r, dtype=np.float64)
+    return r * r * area + rho * r * perimeter + 0.5 * rho * rho * theta_plus
 
 
 def box_mask(center, dims, radii, r, theta):
@@ -241,7 +302,7 @@ def box_mask(center, dims, radii, r, theta):
         shift, base = split_rotation(theta, k)
         table = sector_entries(polar_angle(dx[ring], dy[ring]), d[ring],
                                base, k)
-        inside[ring] = sector_q(radii, shift, *table) <= r
+        inside[ring] = sector_q(wrapped_inverse(radii, shift), *table) <= r
         del table
     rows, cols = inside.shape
     # the canvas is allocated only once the box's float arrays are freed
@@ -257,12 +318,11 @@ class RadialGrid:
     Holds every canvas pixel whose center lies within ``reach`` of the
     center, ordered by increasing distance (ties by flat index).  The grid
     is built at ``reach_distance(extent)``.  Every query past the reach
-    (:meth:`reach_stop`, :meth:`core_stop`, :meth:`area_bound`, or an
-    explicit :meth:`cover`) first rebuilds it at the larger of what it
-    needs and ``GROWTH`` times the reach, dropping the cached tables.  The
-    order and the elementwise tables make every build a bitwise-identical
-    prefix of the grid built at full extent.  Once the whole canvas is
-    held, ``reach`` is infinite.
+    (:meth:`reach_stop`, :meth:`core_stop`, or an explicit :meth:`cover`)
+    first rebuilds it at the larger of what it needs and ``GROWTH`` times
+    the reach, dropping the cached tables.  The order and the elementwise
+    tables make every build a bitwise-identical prefix of the grid built at
+    full extent.  Once the whole canvas is held, ``reach`` is infinite.
 
     The tables are shape independent: one grid serves any radii vector of
     length ``k`` at any rotation.  They are built once per fractional
@@ -296,7 +356,6 @@ class RadialGrid:
         self.dist = dist[order]
         self._phi = polar_angle(dx[keep], dy[keep])[order]
         self._tables: dict[float, tuple] = {}
-        self._counts: dict[float, np.ndarray] = {}
         whole = d.shape == (height, width)
         self.reach = np.inf if whole and d.max() <= reach else reach
 
@@ -317,7 +376,7 @@ class RadialGrid:
             self._tables[base] = table
         return table
 
-    def q_values(self, radii, theta, index=slice(None)):
+    def q_values(self, radii, theta, index=slice(None), inverse=None):
         """Scale-free containment values for the grid pixels at ``index``.
 
         ``index`` is a slice or an index array into the distance-sorted
@@ -325,15 +384,26 @@ class RadialGrid:
         result has shape (m,) or (n, m) for m selected pixels.  A pixel is
         inside the shape scaled by r exactly when its value is <= r.  The
         radii are rolled by the whole-sector shift of ``theta`` and
-        evaluated against the table of its fractional offset.
+        evaluated against the table of its fractional offset.  A caller
+        that queries the same radii often may pass their
+        ``wrapped_inverse(radii, shift)`` as ``inverse`` instead of
+        ``radii``.
         """
-        radii = np.asarray(radii, dtype=np.float64)
-        if radii.shape[-1] != self.k:
-            raise ValueError(
-                f"radii length {radii.shape[-1]} does not match grid k={self.k}")
         shift, base = split_rotation(theta, self.k)
+        if inverse is None:
+            radii = np.asarray(radii, dtype=np.float64)
+            if radii.shape[-1] != self.k:
+                raise ValueError(f"radii length {radii.shape[-1]} does not "
+                                 f"match grid k={self.k}")
+            inverse = wrapped_inverse(radii, shift)
         m, coef_a, coef_b = self._sector_table(base)
-        return sector_q(radii, shift, m[index], coef_a[index], coef_b[index])
+        return sector_q(inverse, m[index], coef_a[index], coef_b[index])
+
+    def _annulus(self, r, low, high):
+        """``(lo, stop)``: the core stop of the smallest radius ``low`` and
+        the reach stop of the largest radius ``high``, at scale ``r``."""
+        stop = int(self.reach_stop(r * float(high)))
+        return int(self.core_stop(r * float(low))), stop
 
     def inside(self, radii, r, theta):
         """Which grid pixels the shape scaled by ``r`` contains.
@@ -342,14 +412,45 @@ class RadialGrid:
         and the first ``lo = core_stop(r * min(radii))`` pixels always are,
         as BOUND_MARGIN exceeds the rounding and closure of q, so only the
         annulus between is tested, by the closed rule q <= r.  Returns
-        ``(lo, stop, inside)`` with ``inside`` of shape (stop - lo,) for a (k,) radii vector or
-        (n, stop - lo) for an (n, k) batch, whose core and reach are set by
-        its smallest and largest entries.
+        ``(lo, stop, inside)`` with ``inside`` of shape (stop - lo,) for a
+        (k,) radii vector or (n, stop - lo) for an (n, k) batch, whose core
+        and reach are set by its smallest and largest entries.
         """
         radii = np.asarray(radii, dtype=np.float64)
-        stop = int(self.reach_stop(r * float(radii.max())))
-        lo = int(self.core_stop(r * float(radii.min())))
+        lo, stop = self._annulus(r, radii.min(), radii.max())
         return lo, stop, self.q_values(radii, theta, slice(lo, stop)) <= r
+
+    def inside_near(self, reference, radii, r, theta):
+        """Where an (n, k) batch of shapes near ``reference`` may differ
+        from it, at scale ``r`` and rotation ``theta``.
+
+        Returns ``(band, band_inside)``: the grid positions ``band``, and
+        the rows' (n, band.size) containment there.  At every other grid
+        pixel each row's containment equals the reference's.
+
+        Pixels inside the core of both, or past the reach of both, agree.
+        On the annulus between, with delta the largest difference of
+        inverse radii, a row's q is within delta * d / cos(pi/K) of the
+        reference's (see the module docstring), so a pixel whose reference
+        q is farther than that from ``r`` is on the reference's side for
+        every row.  (1 - EDGE_CLOSURE) of the largest inverse radius widens
+        delta past the rounding of q.
+        """
+        reference = np.asarray(reference, dtype=np.float64)
+        radii = np.asarray(radii, dtype=np.float64)
+        lo, stop = self._annulus(r, min(radii.min(), reference.min()),
+                                 max(radii.max(), reference.max()))
+        shift = split_rotation(theta, self.k)[0]
+        inv, inv_ref = (wrapped_inverse(radii, shift),
+                        wrapped_inverse(reference, shift))
+        q = self.q_values(None, theta, slice(lo, stop), inverse=inv_ref)
+        delta = float(np.abs(inv - inv_ref).max())
+        delta += (1.0 - EDGE_CLOSURE) * max(float(inv.max()),
+                                            float(inv_ref.max()))
+        width = self.dist[lo:stop] * (delta / math.cos(math.pi / self.k))
+        band = np.flatnonzero(np.abs(q - r) <= width)
+        band += lo
+        return band, self.q_values(None, theta, band, inverse=inv) <= r
 
     def reach_stop(self, extent):
         """Number of grid pixels within ``reach_distance(extent)``.
@@ -359,7 +460,7 @@ class RadialGrid:
         closure of q.  Elementwise for an array of extents.
         """
         reach = reach_distance(extent)
-        self.cover(np.max(reach))
+        self.cover(reach if isinstance(extent, float) else np.max(reach))
         return np.searchsorted(self.dist, reach, side="right")
 
     def core_stop(self, extent):
@@ -370,53 +471,8 @@ class RadialGrid:
         so the first ``core_stop`` pixels are inside without evaluation.
         """
         core = core_distance(extent, self.k)
-        self.cover(np.max(core))
+        self.cover(core if isinstance(extent, float) else np.max(core))
         return np.searchsorted(self.dist, core, side="right")
-
-    def _sector_counts(self, base):
-        """Cumulative pixel counts per sector at offset ``base``, flattened.
-
-        Entry ``m * cols + j`` counts the pixels of sector m whose distance
-        bin ``floor(dist / SECTOR_BIN)`` is below j, for j < cols.  int32
-        keeps the (K, cols) array small.
-        """
-        counts = self._counts.get(base)
-        if counts is None:
-            m = self._sector_table(base)[0]
-            # truncation is floor: distances are non-negative
-            bins = (self.dist / SECTOR_BIN).astype(np.intp)
-            n_bins = int(bins[-1]) + 1 if bins.size else 1
-            per_bin = np.bincount(m * n_bins + bins,
-                                  minlength=self.k * n_bins)
-            counts = np.zeros((self.k, n_bins + 1), dtype=np.int32)
-            np.cumsum(per_bin.reshape(self.k, n_bins), axis=1,
-                      out=counts[:, 1:])
-            counts = counts.reshape(-1)
-            self._counts[base] = counts
-        return counts
-
-    def area_bound(self, radii, r, base):
-        """Upper bound on the number of grid pixels inside, row by row.
-
-        ``radii`` is an (n, k) batch already rolled to its rotation's whole
-        sectors, ``r`` holds one scale per row, and ``base`` is the rotation's
-        fractional offset.  A pixel of sector m is inside at scale r only if
-        its distance is at most ``r * max(radii[m], radii[m + 1])``; every
-        pixel of sector m up to that distance's bin is counted.
-        """
-        ring = np.concatenate([radii, radii[:, :1]], axis=-1)
-        reach = reach_distance(np.maximum(ring[:, :-1], ring[:, 1:])
-                               * np.asarray(r)[:, None])
-        # the bin index of reach, plus one: bins up to and including it
-        j = (reach / SECTOR_BIN).astype(np.intp)
-        j += 1
-        # bins below j hold pixels closer than j * SECTOR_BIN
-        self.cover(float(j.max()) * SECTOR_BIN)
-        counts = self._sector_counts(base)
-        cols = counts.size // self.k
-        np.minimum(j, cols - 1, out=j)
-        j += cols * np.arange(self.k)
-        return np.take(counts, j).sum(axis=1)
 
     def mask(self, radii, r, theta):
         """Flat canvas mask of the shape at scale ``r``, rotation ``theta``."""

@@ -169,8 +169,12 @@ def scene_dirs(directory):
             if os.path.exists(os.path.join(directory, e, "scene.json"))]
 
 
-def import_scene(scene_dir):
-    """Load one scene directory written by :func:`export_dataset`."""
+def read_manifest(scene_dir):
+    """``(centroids, dims, truth_count, scene_id)`` of a scene.json, checked.
+
+    The scene_id defaults to the directory's name.  Every problem is a
+    :class:`DatasetIOError`.
+    """
     entry = os.path.basename(scene_dir)
     manifest_path = os.path.join(scene_dir, "scene.json")
     try:
@@ -192,16 +196,22 @@ def import_scene(scene_dir):
             c in scene_id for c in "/\\\0"):
         raise DatasetIOError(
             f"{manifest_path}: scene_id {scene_id!r} is not a file name")
+    if truth_count and truth_count != len(centroids):
+        raise ManifestMismatch(
+            f"{manifest_path}: {len(centroids)} centroids but "
+            f"{truth_count} truth masks")
+    return centroids, dims, truth_count, scene_id
+
+
+def import_scene(scene_dir):
+    """Load one scene directory written by :func:`export_dataset`."""
+    centroids, dims, truth_count, scene_id = read_manifest(scene_dir)
     # read_pgm reports a missing or unreadable mask as a DatasetIOError
     clump = read_pgm(os.path.join(scene_dir, "clump.pgm"))
     if dims != clump.shape[::-1]:
         raise DatasetIOError(
-            f"{entry}: scene.json dims {list(dims)} but clump.pgm is "
-            f"{clump.shape[1]}x{clump.shape[0]}")
-    if truth_count and truth_count != len(centroids):
-        raise ManifestMismatch(
-            f"{entry}: {len(centroids)} centroids but "
-            f"{truth_count} truth masks")
+            f"{os.path.basename(scene_dir)}: scene.json dims {list(dims)} "
+            f"but clump.pgm is {clump.shape[1]}x{clump.shape[0]}")
     truths = None
     if truth_count:
         truths = [read_pgm(os.path.join(scene_dir, f"truth_{i}.pgm"))

@@ -25,6 +25,13 @@ def tree_bytes(root):
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def repeat_scene_id(data):
+    """Give scene_0001 the scene_id of scene_0000."""
+    path = data / "scene_0001" / "scene.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()),
+                                "scene_id": "scene_0000"}))
+
+
 def run_pipeline(tmp_path, tag, seed="5"):
     data = tmp_path / f"data_{tag}"
     out = tmp_path / f"seg_{tag}"
@@ -126,6 +133,20 @@ class TestTrain:
                      "--out", str(tmp_path / "m.json"), "--k", "72"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:config:")
+
+    def test_repeated_scene_id_exit3(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["generate", "--out", str(data), "--count", "2",
+                     "--seed", "8"] + SMALL_ARGS) == 0
+        repeat_scene_id(data)
+        capsys.readouterr()
+        model = tmp_path / "m.json"
+        code = main(["train", "--dataset", str(data), "--out", str(model)]
+                    + SMALL_ARGS)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:io:") and "'scene_0000'" in err
+        assert not model.exists()
 
     def test_train_twice_byte_identical(self, tmp_path):
         data = tmp_path / "data"
@@ -236,6 +257,11 @@ class TestMalformedFiles:
         "empty_scene_id": lambda doc: json.dumps({**doc, "scene_id": ""}),
         "nul_scene_id": lambda doc: json.dumps({**doc, "scene_id": "a\0b"}),
         "number_scene_id": lambda doc: json.dumps({**doc, "scene_id": 7}),
+        # a truth_count that is negative or disagrees with the centroids
+        "negative_truth_count": lambda doc: json.dumps(
+            {**doc, "truth_count": -1}),
+        "mismatched_truth_count": lambda doc: json.dumps(
+            {**doc, "truth_count": len(doc["centroids"]) + 1}),
     }
     MODEL_EDITS = {
         "invalid_json": lambda doc: "[1, 2",
@@ -325,7 +351,7 @@ class TestFail:
     @pytest.mark.parametrize("error", error_types() + [OSError],
                              ids=lambda cls: cls.__name__)
     def test_exit_code_and_category(self, capsys, error):
-        io = error in (ms.DatasetIOError, OSError)
+        io = issubclass(error, (ms.DatasetIOError, OSError))
         assert _fail(error("boom"), "scene_0001: ") == (3 if io else 2)
         category = "io" if io else "config"
         assert capsys.readouterr().err \
@@ -442,6 +468,25 @@ class TestSegment:
             "scene_0000_overlay.ppm", "scene_0000_trace.json",
             "segment_summary.json"]
 
+    def test_repeated_scene_id_writes_nothing(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        model = tmp_path / "m.json"
+        assert main(["generate", "--out", str(data), "--count", "3",
+                     "--seed", "5"] + SMALL_ARGS) == 0
+        assert main(["train", "--dataset", str(data), "--out", str(model)]
+                    + SMALL_ARGS) == 0
+        repeat_scene_id(data)
+        # an unreadable manifest still fails only its own scene
+        (data / "scene_0002" / "scene.json").write_text("{not json")
+        capsys.readouterr()
+        out = tmp_path / "seg"
+        code = main(["segment", "--model", str(model), "--dataset", str(data),
+                     "--out", str(out)] + SMALL_ARGS)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:io:") and "'scene_0000'" in err
+        assert not out.exists()
+
     def test_jobs_capped_at_scene_count(self, tmp_path, monkeypatch):
         pools = []
 
@@ -512,6 +557,25 @@ class TestEvaluate:
         assert agg["fpr"]["mean"] == 0.0
         assert agg["fnr"]["mean"] == 0.0
         assert agg["dsc"]["mean"] == 1.0
+
+    def test_repeated_scene_id_exit3(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["generate", "--out", str(data), "--count", "2",
+                     "--seed", "4"] + SMALL_ARGS) == 0
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        for scene in ms.import_dataset(data):
+            for i, mask in enumerate(scene.truth):
+                ms.write_pgm(pred / f"{scene.scene_id}_obj{i}.pgm", mask)
+        repeat_scene_id(data)
+        capsys.readouterr()
+        report = tmp_path / "r.json"
+        code = main(["evaluate", "--pred", str(pred), "--dataset", str(data),
+                     "--report", str(report)] + SMALL_ARGS)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:io:") and "'scene_0000'" in err
+        assert not report.exists()
 
     def test_empty_predictions(self, tmp_path):
         data = tmp_path / "data"

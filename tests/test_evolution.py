@@ -123,6 +123,50 @@ class TestProbeTable:
                                                            i, col)
 
 
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              database=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           k=st.sampled_from([3, 8, 36, 72]),
+           mult=st.sampled_from([1.0, 2.0, 4.0]),
+           at_box=st.booleans())
+    def test_banded_table_matches_energy(self, seed, k, mult, at_box):
+        # a two-mode model whose shapes reach the radius floor, probed at
+        # coefficients on or near the clipping box
+        rng = np.random.default_rng(seed)
+        basis, _ = np.linalg.qr(rng.standard_normal((k, 2)))
+        model = manual_model(rng.uniform(1.5, 6.0, size=k),
+                             [basis[:, 0], basis[:, 1]],
+                             [4.0 * k, 1.0 * k])
+        dims = (48, 48)
+        centroids = [tuple(rng.uniform(16.0, 32.0, size=2))
+                     for _ in range(2)]
+        clump = ms.union([disk_mask(dims, c, 9.0) for c in centroids])
+        scene = ms.ClumpScene(clump=clump, centroids=centroids,
+                              scene_id="banded")
+        cfg = ms.EvolutionConfig()
+        engine = ms.evolution._SceneEngine(scene, model, cfg)
+        box = ms.evolution.COEFF_SIGMA_BOX
+        c = rng.uniform(-box, box, size=(2, 2))
+        if at_box:
+            c[0] = [box, -box]
+            c[1, 0] = box - 0.5 * ms.evolution.FD_STEP
+        alignments = tuple(ms.Alignment(r=float(rng.uniform(0.6, 1.4)),
+                                        theta=float(rng.uniform(0, 7)))
+                           for _ in range(2))
+        fit = engine.revise(engine.initial_fit(), c=c,
+                            alignments=alignments)
+        h = mult * ms.evolution.FD_STEP
+        table = engine._probe_table(fit, h)
+        for i in range(2):
+            for j in range(2):
+                for col, sign in ((2 * j, 1.0), (2 * j + 1, -1.0)):
+                    probe = c.copy()
+                    probe[i, j] += sign * h
+                    x = engine.raw_from_normalized(probe).reshape(-1)
+                    assert table[i, col] == ms.energy(scene, model, x,
+                                                      list(alignments))
+
+
 class TestRevise:
     def test_recomputes_only_what_changed(self, tiny_model, tiny_dataset):
         scene = tiny_dataset[4]

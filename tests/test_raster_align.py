@@ -240,14 +240,15 @@ class TestRadialGrid:
                 shift, own_base = ms.geometry.split_rotation(thetas[t], k)
                 assert own_base == base
                 assert np.array_equal(first._roll_index[t],
-                                      np.roll(np.arange(k), shift))
+                                      np.roll(np.arange(k), shift)[
+                                          np.arange(k + 1) % k])
         assert sorted(np.concatenate([rows for _, rows in
                                       first._offset_rows])) == list(
             range(thetas.size))
         other = ms.AlignmentSearcher((20.0, 20.0), disk_mask((40, 40),
                                      (20.0, 20.0), 9.0), k,
                                      ms.GridSearchConfig(theta_count=36))
-        assert other._roll_index.shape == (36, k)
+        assert other._roll_index.shape == (36, k + 1)
 
 
 BOUND_CASES = [(36, 8), (37, 8), (48, 72), (360, 72)]
@@ -262,22 +263,93 @@ def bound_radii(k):
             rng.uniform(4.0, 12.0, size=k)]
 
 
+def ceiling_radii(kind, k, rng):
+    """Ragged, spiky or round radii of length k, some under a pixel."""
+    if kind == "ragged":
+        return rng.uniform(0.05, 12.0, size=k)
+    if kind == "round":
+        return np.full(k, rng.uniform(0.05, 12.0))
+    # thin spikes, some along the lattice axes, on a core under a pixel
+    radii = np.full(k, rng.uniform(0.05, 2.0))
+    axes = [j * k // 4 for j in range(4) if (j * k) % 4 == 0]
+    spikes = rng.choice(k, size=int(rng.integers(1, 5)))
+    radii[spikes] = rng.uniform(3.0, 16.0)
+    radii[axes[:int(rng.integers(0, 3))]] = rng.uniform(3.0, 16.0)
+    return radii
+
+
 class TestSearchBounds:
-    """The two certificates behind the pruned alignment search."""
+    """The certificates behind the pruned alignment search and the banded
+    probe table."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True,
+              database=None)
+    @given(k=st.integers(3, 360),
+           kind=st.sampled_from(["ragged", "round", "spiky"]),
+           seed=st.integers(0, 2**32 - 1),
+           center=st.tuples(st.floats(30.0, 50.0), st.floats(30.0, 50.0)),
+           on_pixel_center=st.booleans(),
+           r=st.floats(0.05, 2.0),
+           theta_count=st.integers(1, 24))
+    def test_area_ceiling_covers_exact_area(self, k, kind, seed, center,
+                                            on_pixel_center, r, theta_count):
+        rng = np.random.default_rng(seed)
+        radii = ceiling_radii(kind, k, rng)
+        if on_pixel_center:
+            center = (np.floor(center[0]) + 0.5, np.floor(center[1]) + 0.5)
+        grid = ms.geometry.RadialGrid(center, (80, 80), k, 1e3)
+        ceiling = ms.geometry.area_ceiling(radii, r)
+        thetas = ms.GridSearchConfig(theta_count=theta_count).theta_values()
+        for theta in [*thetas, rng.uniform(0.0, 2 * np.pi)]:
+            exact = np.count_nonzero(grid.q_values(radii, theta) <= r)
+            assert exact <= ceiling, f"theta={theta}"
 
     @pytest.mark.parametrize("k, theta_count", BOUND_CASES)
-    def test_sector_bound_covers_exact_area(self, k, theta_count):
+    def test_area_ceiling_at_every_grid_alignment(self, k, theta_count):
         grid = ms.geometry.RadialGrid((30.3, 29.6), (60, 60), k, 26.0)
         config = ms.GridSearchConfig(theta_count=theta_count)
         rs = config.r_values()
         for radii in bound_radii(k):
+            ceiling = ms.geometry.area_ceiling(radii, rs)
             for theta in config.theta_values():
-                shift, base = ms.geometry.split_rotation(theta, k)
-                rolled = np.repeat(np.roll(radii, shift)[None, :], rs.size, 0)
-                bound = grid.area_bound(rolled, rs, base)
                 exact = np.count_nonzero(
                     grid.q_values(radii, theta) <= rs[:, None], axis=1)
-                assert np.all(bound >= exact), f"theta={theta}"
+                assert np.all(exact <= ceiling), f"theta={theta}"
+
+    def test_area_ceiling_is_elementwise_in_scale(self):
+        radii = bound_radii(48)[2]
+        rs = ms.GridSearchConfig().r_values()
+        assert np.array_equal(ms.geometry.area_ceiling(radii, rs),
+                              [ms.geometry.area_ceiling(radii, r)
+                               for r in rs])
+
+    @settings(max_examples=120, deadline=None, derandomize=True,
+              database=None)
+    @given(k=st.integers(3, 120),
+           round_reference=st.booleans(),
+           seed=st.integers(0, 2**32 - 1),
+           center=st.tuples(st.floats(0.0, 59.99), st.floats(0.0, 59.99)),
+           r=st.floats(0.3, 2.0),
+           theta=st.floats(0.0, 2 * np.pi),
+           spread=st.sampled_from([0.0, 1e-3, 0.03, 0.3]))
+    def test_inside_near_equals_inside(self, k, round_reference, seed,
+                                       center, r, theta, spread):
+        rng = np.random.default_rng(seed)
+        reference = (np.full(k, rng.uniform(2.0, 12.0)) if round_reference
+                     else rng.uniform(2.0, 12.0, size=k))
+        # rows scaled as a whole, rows moved per vertex, the reference
+        # itself, and rows floored like synthesize's radii
+        rows = [reference * (1.0 + spread * rng.standard_normal()),
+                reference * (1.0 + spread * rng.standard_normal(k)),
+                reference,
+                np.maximum(reference * (1.0 - 3.0 * spread), 2.5)]
+        grid = ms.geometry.RadialGrid(center, (60, 60), k, 0.0)
+        band, band_inside = grid.inside_near(reference, np.stack(rows), r,
+                                             theta)
+        for row, inside in zip(rows, band_inside):
+            got = grid.mask(reference, r, theta)
+            got[grid.flat_index[band]] = inside
+            assert np.array_equal(got, grid.mask(row, r, theta))
 
     @pytest.mark.parametrize("k, theta_count", BOUND_CASES)
     def test_core_is_inside_at_every_rotation(self, k, theta_count):
@@ -367,17 +439,15 @@ class TestGridGrowth:
 
     @pytest.mark.parametrize("center", GROWTH_CENTERS)
     @pytest.mark.parametrize("k", GROWTH_KS)
-    def test_area_bound_grows_first(self, center, k):
+    def test_inside_near_grows_first(self, center, k):
         small, full = grid_pair(center, k)
-        rs = ms.GridSearchConfig().r_values()
-        for radii in bound_radii(k):
-            rolled = np.repeat(np.roll(radii, 3)[None, :], rs.size, 0)
-            fresh, _ = grid_pair(center, k)
-            base = ms.geometry.split_rotation(0.3, k)[1]
-            want = full.area_bound(rolled, rs, base)
-            assert np.array_equal(fresh.area_bound(rolled, rs, base), want)
-            assert np.array_equal(small.area_bound(rolled, rs, base), want)
-            assert_prefix(fresh, full, [base])
+        reference = bound_radii(k)[1]
+        radii = reference * np.array([[0.9], [1.0], [1.1]])
+        theta = 0.3
+        for got, want in zip(small.inside_near(reference, radii, 1.2, theta),
+                             full.inside_near(reference, radii, 1.2, theta)):
+            assert got.size and np.array_equal(got, want)
+        assert_prefix(small, full, [ms.geometry.split_rotation(theta, k)[1]])
 
     @settings(max_examples=40, deadline=None, derandomize=True,
               database=None)
