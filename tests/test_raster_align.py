@@ -305,7 +305,10 @@ class TestSearchBounds:
             assert exact <= ceiling, f"theta={theta}"
 
     @pytest.mark.parametrize("k, theta_count", BOUND_CASES)
-    def test_area_ceiling_at_every_grid_alignment(self, k, theta_count):
+    def test_sector_bound_covers_exact_area(self, k, theta_count):
+        """The search's area certificate, the polygon's parallel body (one
+        rectangle per edge, one sector per convex vertex), covers the exact
+        area at every grid scale and rotation."""
         grid = ms.geometry.RadialGrid((30.3, 29.6), (60, 60), k, 26.0)
         config = ms.GridSearchConfig(theta_count=theta_count)
         rs = config.r_values()
