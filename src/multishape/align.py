@@ -10,9 +10,11 @@ the largest feasible scale, which makes the exhaustive search exact at a
 fraction of the brute-force cost.
 
 Every grid rotation is a whole-sector roll of the radii against one of the
-grid's few rotation-free tables (see :mod:`multishape.geometry`), so a
-search stacks the T rolled radii vectors and evaluates all rotations
-together, in (rotations, pixels) batches.
+grid's few rotation-free tables (see :mod:`multishape.geometry`).  A search
+builds one stack of the T rotations' wrapped inverse radii and passes the
+rows that share a table offset, with that offset, to
+:meth:`multishape.geometry.RadialGrid.q_values`, so all rotations are
+evaluated together, in (rotations, pixels) batches.
 
 Three certificates keep the search exact while evaluating only the pixels
 and rotations that can matter:
@@ -150,6 +152,15 @@ class AlignmentSearcher:
         self._roll_index, self._offset_rows = _rotation_plan(
             self.grid.k, self.config.theta_count)
 
+    def serves(self, centroid, clump, k, config):
+        """Whether this searcher is the one built for ``centroid`` in
+        ``clump`` with ``k`` radii and grid ``config``."""
+        height, width = clump.shape
+        return (self.grid.center == (float(centroid[0]), float(centroid[1]))
+                and self.grid.dims == (width, height) and self.grid.k == k
+                and self.config == config
+                and np.array_equal(self._clump, clump.reshape(-1)))
+
     def neighbors(self, alignment):
         """Single grid-step moves of ``alignment``, on the searched grids.
 
@@ -180,7 +191,9 @@ class AlignmentSearcher:
         it and their containment values at ``index``, one row per rotation;
         offsets with no selected rotation are skipped.
 
-        ``inverse`` holds the wrapped inverse radii of every rotation.
+        ``inverse`` holds the wrapped inverse radii of every rotation, each
+        rolled by its rotation's whole-sector shift (see
+        :func:`_rotation_plan`).
         """
         for base, rows in self._offset_rows:
             rows = rows[selected[rows]]
@@ -188,8 +201,7 @@ class AlignmentSearcher:
                 # every rotation, in order: the stack itself, not a copy
                 part = inverse if rows.size == inverse.shape[0] \
                     else inverse[rows]
-                yield rows, self.grid.q_values(None, base, index,
-                                               inverse=part)
+                yield rows, self.grid.q_values(part, base, index)
 
     def _background_min(self, inverse, max_s, cap):
         """Certified per-rotation minimum containment value over background.
@@ -259,8 +271,8 @@ class AlignmentSearcher:
         inside at every rotation and pixels past the reach of the largest
         are outside, so only the annulus between them is evaluated.
         """
-        lo = int(self.grid.core_stop(float(r[selected].min()) * min_s))
-        hi = int(self.grid.reach_stop(float(r[selected].max()) * max_s))
+        lo = self.grid.core_stop(float(r[selected].min()) * min_s)
+        hi = self.grid.reach_stop(float(r[selected].max()) * max_s)
         return lo + self._inside_counts(inverse, selected, r, lo, hi)
 
     def search(self, radii):
@@ -301,7 +313,7 @@ class AlignmentSearcher:
         if top == 0:
             every = np.ones(inverse.shape[0], dtype=bool)
             r0 = np.full(inverse.shape[0], rs[0])
-            stop = int(self.grid.reach_stop(float(rs[0]) * max_s))
+            stop = self.grid.reach_stop(float(rs[0]) * max_s)
             background = ~self._clump[self.grid.flat_index[:stop]]
             outside = self._inside_counts(inverse, every, r0, 0, stop,
                                           background)
@@ -313,14 +325,12 @@ class AlignmentSearcher:
         r = rs[np.maximum(n_feasible, 1) - 1]
         counted = n_feasible == top
         area = self._areas(inverse, counted, r, min_s, max_s)
-        lower = (n_feasible > 0) & ~counted
-        if lower.any():
-            contenders = lower & (area_ceiling(radii, r)
-                                  > area[counted].max())
-            if contenders.any():
-                area[contenders] = self._areas(inverse, contenders, r, min_s,
-                                               max_s)[contenders]
-                counted |= contenders
+        contenders = (n_feasible > 0) & ~counted & (
+            area_ceiling(radii, r) > area[counted].max())
+        if contenders.any():
+            area[contenders] = self._areas(inverse, contenders, r, min_s,
+                                           max_s)[contenders]
+            counted |= contenders
         candidates = np.flatnonzero(counted)
         # largest area, then larger scale; lexsort is stable, so the
         # smaller rotation wins the remaining ties

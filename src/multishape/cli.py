@@ -24,14 +24,15 @@ from .errors import (
 from .evolution import evolve
 from .importance import TrainingPair, dataset_examples, learn
 from .metrics import bin_by_degree, object_report, pixel_metrics
-from .netpbm import atomic_write, read_pgm, write_pgm, write_ppm
+from .netpbm import atomic_write, write_pgm, write_ppm
 from .raster import boundary
 from .shape_model import build_model, load_model, sample_shape_vector, save_model
 from .synthgen import (
     export_dataset,
-    generate_batch,
+    generate_scene,
     import_dataset,
     import_scene,
+    read_mask,
     read_manifest,
     scene_dirs,
 )
@@ -102,9 +103,10 @@ def cmd_generate(args):
     if args.seed is not None:
         overrides["generator.seed"] = args.seed
     generator = RunConfig.load(path=args.config, overrides=overrides).generator
-    scenes = generate_batch(generator, args.count)
-    export_dataset(scenes, args.out)
-    print(f"generated {len(scenes)} scenes into {args.out} "
+    # one scene at a time: memory does not grow with --count
+    export_dataset((generate_scene(generator, i) for i in range(args.count)),
+                   args.out)
+    print(f"generated {args.count} scenes into {args.out} "
           f"(seed {generator.seed})")
     return EXIT_OK
 
@@ -290,7 +292,7 @@ def _read_predictions(pred_dir, scene):
     predicted = []
     while os.path.exists(path := os.path.join(
             pred_dir, f"{scene.scene_id}_obj{len(predicted)}.pgm")):
-        predicted.append(read_pgm(path))
+        predicted.append(read_mask(path, scene.clump.shape))
     if len(predicted) != len(scene.truth):
         raise ConfigError(
             f"{scene.scene_id}: {len(predicted)} predictions for "

@@ -260,10 +260,12 @@ class _SceneEngine:
         self.sqrt_ev = np.sqrt(model.eigenvalues)
         if searchers is None:
             searchers = scene_searchers(scene, model.k, config)
-        elif len(searchers) != self.n or any(s.grid.k != model.k
-                                             for s in searchers):
+        elif len(searchers) != self.n or not all(
+                s.serves(c, scene.clump, model.k, config.grid)
+                for s, c in zip(searchers, scene.centroids)):
             raise DimensionMismatch(
-                f"need {self.n} searchers with K={model.k}")
+                f"need {self.n} searchers built for {scene.scene_id}'s "
+                f"centroids and clump with K={model.k} and the grid config")
         self.searchers = searchers
 
     def object_mask(self, i, radii, alignment):
@@ -279,8 +281,9 @@ class _SceneEngine:
     def initial_fit(self):
         """Mean shapes at their best alignments."""
         c = np.zeros((self.n, self.t))
-        radii = tuple(synthesize(self.model, row)
-                      for row in self.raw_from_normalized(c))
+        # every row of c is the same, so one shape serves every object
+        radii = (synthesize(self.model, self.raw_from_normalized(c[0])),) \
+            * self.n
         alignments = tuple(s.search(r) for s, r in zip(self.searchers, radii))
         masks = tuple(self.object_mask(i, radii[i], alignments[i])
                       for i in range(self.n))
@@ -492,7 +495,9 @@ def evolve(scene, model, config=None, searchers=None):
 
     ``searchers`` may pass the :func:`scene_searchers` of an earlier call on
     the same scene with the same K and grid config, so repeated evolves
-    reuse their polar grids; the result does not depend on it.
+    reuse their polar grids; the result does not depend on it.  Searchers
+    built for other centroids, another clump, K or grid config raise
+    :class:`DimensionMismatch`.
     """
     config = config or EvolutionConfig()
     return _SceneEngine(scene, model, config, searchers).run()

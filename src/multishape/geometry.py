@@ -31,8 +31,8 @@ every pixel:
 
 * a :class:`RadialGrid` keeps its pixels sorted by distance with their
   tables, so repeated queries about one center skip far pixels by slicing.
-  The evolution engine's object masks and probes (:meth:`RadialGrid.inside`)
-  and the alignment search's area count use it;
+  The evolution engine's object masks (:meth:`RadialGrid.mask`) and probes
+  (:meth:`RadialGrid.inside_near`) and the alignment search use it;
 * :func:`box_mask` visits the pixels of the reach's bounding box once and
   keeps nothing, for one-shot fills such as :func:`multishape.rasterize`.
 
@@ -47,10 +47,13 @@ The tables (m, A, B) do not depend on the shape, and rotation only moves
 them by whole sectors: rotating the shape by s * 2*pi/K puts vertex j where
 vertex j + s was, which is the same as rolling the radii by s.  A rotation
 theta is therefore split into a whole-sector shift s and a fractional
-offset, snapped to multiples of OFFSET_QUANTUM of a sector; the grid keeps
-one table per fractional offset and evaluates ``np.roll(radii, s)`` against
-it.  The T rotations 2*pi*t/T of the alignment search need T/gcd(K, T)
-tables, a single one whenever T divides K.
+offset, snapped to multiples of OFFSET_QUANTUM of a sector
+(:func:`split_rotation`); the grid builds one table per fractional offset
+the first time it is asked for, and evaluates ``np.roll(radii, s)`` against
+it.  Every grid query takes the one form
+``RadialGrid.q_values(wrapped_inverse(radii, s), base, index)``.  The T
+rotations 2*pi*t/T of the alignment search need T/gcd(K, T) tables, a
+single one whenever T divides K.
 
 Two more bounds on q let the containment rule and the alignment search
 skip work without changing a single comparison.  With u the pixel's angular
@@ -369,56 +372,30 @@ class RadialGrid:
         return self.dist.size
 
     def _sector_table(self, base):
-        """Per-pixel table at offset ``base``, built on first use."""
-        table = self._tables.get(base)
-        if table is None:
-            table = sector_entries(self._phi, self.dist, base, self.k)
-            self._tables[base] = table
+        """Build and keep the per-pixel table at offset ``base``."""
+        table = sector_entries(self._phi, self.dist, base, self.k)
+        self._tables[base] = table
         return table
 
-    def q_values(self, radii, theta, index=slice(None), inverse=None):
+    def q_values(self, inverse, base, index=slice(None)):
         """Scale-free containment values for the grid pixels at ``index``.
 
-        ``index`` is a slice or an index array into the distance-sorted
-        pixels.  ``radii`` may be a (k,) vector or an (n, k) batch; the
-        result has shape (m,) or (n, m) for m selected pixels.  A pixel is
-        inside the shape scaled by r exactly when its value is <= r.  The
-        radii are rolled by the whole-sector shift of ``theta`` and
-        evaluated against the table of its fractional offset.  A caller
-        that queries the same radii often may pass their
-        ``wrapped_inverse(radii, shift)`` as ``inverse`` instead of
-        ``radii``.
+        ``inverse`` is the :func:`wrapped_inverse` of a (k,) vector or an
+        (n, k) batch of radii, rolled by the whole-sector shift of a
+        rotation, and ``base`` is that rotation's fractional offset: both
+        come from :func:`split_rotation`.  ``index`` is a slice or an index
+        array into the distance-sorted pixels.  The result has shape (m,)
+        or (n, m) for m selected pixels.  A pixel is inside the shape
+        scaled by r exactly when its value is <= r.
         """
-        shift, base = split_rotation(theta, self.k)
-        if inverse is None:
-            radii = np.asarray(radii, dtype=np.float64)
-            if radii.shape[-1] != self.k:
-                raise ValueError(f"radii length {radii.shape[-1]} does not "
-                                 f"match grid k={self.k}")
-            inverse = wrapped_inverse(radii, shift)
-        m, coef_a, coef_b = self._sector_table(base)
+        m, coef_a, coef_b = self._tables.get(base) or self._sector_table(base)
         return sector_q(inverse, m[index], coef_a[index], coef_b[index])
 
     def _annulus(self, r, low, high):
         """``(lo, stop)``: the core stop of the smallest radius ``low`` and
         the reach stop of the largest radius ``high``, at scale ``r``."""
-        stop = int(self.reach_stop(r * float(high)))
-        return int(self.core_stop(r * float(low))), stop
-
-    def inside(self, radii, r, theta):
-        """Which grid pixels the shape scaled by ``r`` contains.
-
-        Pixels beyond ``reach_distance(r * max(radii))`` are never inside
-        and the first ``lo = core_stop(r * min(radii))`` pixels always are,
-        as BOUND_MARGIN exceeds the rounding and closure of q, so only the
-        annulus between is tested, by the closed rule q <= r.  Returns
-        ``(lo, stop, inside)`` with ``inside`` of shape (stop - lo,) for a
-        (k,) radii vector or (n, stop - lo) for an (n, k) batch, whose core
-        and reach are set by its smallest and largest entries.
-        """
-        radii = np.asarray(radii, dtype=np.float64)
-        lo, stop = self._annulus(r, radii.min(), radii.max())
-        return lo, stop, self.q_values(radii, theta, slice(lo, stop)) <= r
+        stop = self.reach_stop(r * float(high))
+        return self.core_stop(r * float(low)), stop
 
     def inside_near(self, reference, radii, r, theta):
         """Where an (n, k) batch of shapes near ``reference`` may differ
@@ -440,28 +417,28 @@ class RadialGrid:
         radii = np.asarray(radii, dtype=np.float64)
         lo, stop = self._annulus(r, min(radii.min(), reference.min()),
                                  max(radii.max(), reference.max()))
-        shift = split_rotation(theta, self.k)[0]
+        shift, base = split_rotation(theta, self.k)
         inv, inv_ref = (wrapped_inverse(radii, shift),
                         wrapped_inverse(reference, shift))
-        q = self.q_values(None, theta, slice(lo, stop), inverse=inv_ref)
+        q = self.q_values(inv_ref, base, slice(lo, stop))
         delta = float(np.abs(inv - inv_ref).max())
         delta += (1.0 - EDGE_CLOSURE) * max(float(inv.max()),
                                             float(inv_ref.max()))
         width = self.dist[lo:stop] * (delta / math.cos(math.pi / self.k))
         band = np.flatnonzero(np.abs(q - r) <= width)
         band += lo
-        return band, self.q_values(None, theta, band, inverse=inv) <= r
+        return band, self.q_values(inv, base, band) <= r
 
     def reach_stop(self, extent):
         """Number of grid pixels within ``reach_distance(extent)``.
 
         ``extent`` is the scale times ``max(radii)``; every later pixel has
         q above the scale, since BOUND_MARGIN exceeds the rounding and
-        closure of q.  Elementwise for an array of extents.
+        closure of q.
         """
         reach = reach_distance(extent)
-        self.cover(reach if isinstance(extent, float) else np.max(reach))
-        return np.searchsorted(self.dist, reach, side="right")
+        self.cover(reach)
+        return int(np.searchsorted(self.dist, reach, side="right"))
 
     def core_stop(self, extent):
         """Number of leading grid pixels inside at every rotation.
@@ -471,14 +448,28 @@ class RadialGrid:
         so the first ``core_stop`` pixels are inside without evaluation.
         """
         core = core_distance(extent, self.k)
-        self.cover(core if isinstance(extent, float) else np.max(core))
-        return np.searchsorted(self.dist, core, side="right")
+        self.cover(core)
+        return int(np.searchsorted(self.dist, core, side="right"))
 
     def mask(self, radii, r, theta):
-        """Flat canvas mask of the shape at scale ``r``, rotation ``theta``."""
+        """Flat canvas mask of the (k,) shape ``radii`` at scale ``r``,
+        rotation ``theta``.
+
+        Pixels beyond ``reach_distance(r * max(radii))`` are never inside
+        and the first ``core_stop(r * min(radii))`` pixels always are, as
+        BOUND_MARGIN exceeds the rounding and closure of q, so only the
+        annulus between is tested, by the closed rule q <= r.
+        """
+        radii = np.asarray(radii, dtype=np.float64)
+        if radii.shape != (self.k,):
+            raise ValueError(f"radii shape {radii.shape} does not match "
+                             f"grid k={self.k}")
+        lo, stop = self._annulus(r, radii.min(), radii.max())
+        shift, base = split_rotation(theta, self.k)
+        inside = self.q_values(wrapped_inverse(radii, shift), base,
+                               slice(lo, stop)) <= r
         width, height = self.dims
         out = np.zeros(height * width, dtype=bool)
-        lo, stop, inside = self.inside(radii, r, theta)
         out[self.flat_index[:lo]] = True
         out[self.flat_index[lo:stop][inside]] = True
         return out

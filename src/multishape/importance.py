@@ -91,18 +91,13 @@ def dataset_examples(dataset, step=None):
     return WeightedExampleSet(examples=examples)
 
 
-def terminated_energy(pair, model, evolution_config, searchers=None):
-    """Final energy of an evolution run on the pair's scene.
-
-    ``searchers`` are the pair's :func:`scene_searchers`, reused across
-    calls; built afresh when None.
-    """
+def terminated_energy(pair, model, evolution_config):
+    """Final energy of an evolution run on the pair's scene."""
     k = np.asarray(pair.shapes[0]).size
     if k != model.k:
         raise DimensionMismatch(
             f"pair shapes have K={k} but the model has K={model.k}")
-    _, state = evolve(pair.scene, model, evolution_config, searchers)
-    return state.energy
+    return evolve(pair.scene, model, evolution_config)[1].energy
 
 
 def learn(dataset, config=None):
@@ -142,9 +137,9 @@ def learn(dataset, config=None):
     def energy_for(pair_index, pair_model):
         key = (pair_index, counts.tobytes())
         if key not in energies:
-            energies[key] = terminated_energy(dataset[pair_index], pair_model,
-                                              config.evolution,
-                                              searchers[pair_index])
+            energies[key] = evolve(dataset[pair_index].scene, pair_model,
+                                   config.evolution,
+                                   searchers[pair_index])[1].energy
         return energies[key]
 
     owners = [p for p, pair in enumerate(dataset) for _ in pair.shapes]

@@ -203,6 +203,18 @@ def read_manifest(scene_dir):
     return centroids, dims, truth_count, scene_id
 
 
+def read_mask(path, shape):
+    """The PGM mask at ``path``, which must be of ``shape``, the shape of
+    its scene's clump.pgm; a mask of another size is a
+    :class:`DatasetIOError` naming the file."""
+    mask = read_pgm(path)
+    if mask.shape != shape:
+        raise DatasetIOError(
+            f"{path}: mask is {mask.shape[1]}x{mask.shape[0]} but the "
+            f"scene's clump.pgm is {shape[1]}x{shape[0]}")
+    return mask
+
+
 def import_scene(scene_dir):
     """Load one scene directory written by :func:`export_dataset`."""
     centroids, dims, truth_count, scene_id = read_manifest(scene_dir)
@@ -214,7 +226,8 @@ def import_scene(scene_dir):
             f"but clump.pgm is {clump.shape[1]}x{clump.shape[0]}")
     truths = None
     if truth_count:
-        truths = [read_pgm(os.path.join(scene_dir, f"truth_{i}.pgm"))
+        truths = [read_mask(os.path.join(scene_dir, f"truth_{i}.pgm"),
+                            clump.shape)
                   for i in range(truth_count)]
     return ClumpScene(
         clump=clump,

@@ -1,5 +1,6 @@
 import json
 import shutil
+import tracemalloc
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -57,6 +58,20 @@ class TestGenerate:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert tree_bytes(a) == tree_bytes(b)
+
+    def test_holds_one_scene_at_a_time(self, tmp_path, capsys):
+        # 30 default-scale scenes: about 3 MB when each is written as it
+        # is generated, about 12 MB when all are held first
+        tracemalloc.start()
+        try:
+            assert main(["generate", "--out", str(tmp_path / "data"),
+                         "--count", "30", "--seed", "7"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6e6
+        assert capsys.readouterr().out.startswith("generated 30 scenes")
+        assert len(ms.import_dataset(tmp_path / "data")) == 30
 
     def test_unknown_config_key_exit2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -319,6 +334,39 @@ class TestMalformedFiles:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("error:io:") and "scene.json" in err
+
+    @pytest.mark.parametrize("command", ["train", "segment", "evaluate"])
+    def test_resized_truth_exit3(self, tmp_path, capsys, command):
+        data = self.dataset(tmp_path)
+        model, pred = tmp_path / "m.json", tmp_path / "pred"
+        assert main(["train", "--dataset", str(data), "--out", str(model)]
+                    + SMALL_ARGS) == 0
+        pred.mkdir()
+        for scene in ms.import_dataset(data):
+            for i, mask in enumerate(scene.truth):
+                ms.write_pgm(pred / f"{scene.scene_id}_obj{i}.pgm", mask)
+        ms.write_pgm(data / "scene_0001" / "truth_1.pgm",
+                     np.ones((10, 10), dtype=bool))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        args = {"train": ["--out", str(out)],
+                "segment": ["--model", str(model), "--out", str(out)],
+                "evaluate": ["--pred", str(pred), "--report", str(out)]}
+        code = main([command, "--dataset", str(data), *args[command]]
+                    + SMALL_ARGS)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:io:")
+        assert "scene_0001" in err and "truth_1.pgm" in err
+        if command == "segment":
+            # only the scene with the resized mask fails
+            summary = json.loads((out / "segment_summary.json").read_text())
+            halts = {s["scene_id"]: s["halted_reason"]
+                     for s in summary["scenes"]}
+            assert halts["scene_0001"] == "error"
+            assert halts["scene_0000"] != "error"
+        else:
+            assert not out.exists()
 
     @pytest.mark.parametrize("case", sorted(MODEL_EDITS))
     def test_bad_model_exit3(self, tmp_path, capsys, case):
@@ -606,6 +654,26 @@ class TestEvaluate:
                      "--report", str(tmp_path / "r.json")] + SMALL_ARGS)
         assert code == 2
         assert scene.scene_id in capsys.readouterr().err
+
+    def test_resized_prediction_exit3(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["generate", "--out", str(data), "--count", "2",
+                     "--seed", "4"] + SMALL_ARGS) == 0
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        for scene in ms.import_dataset(data):
+            for i, mask in enumerate(scene.truth):
+                ms.write_pgm(pred / f"{scene.scene_id}_obj{i}.pgm", mask)
+        ms.write_pgm(pred / "scene_0001_obj0.pgm",
+                     np.ones((10, 10), dtype=bool))
+        capsys.readouterr()
+        report = tmp_path / "r.json"
+        code = main(["evaluate", "--pred", str(pred), "--dataset", str(data),
+                     "--report", str(report)] + SMALL_ARGS)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:io:") and "scene_0001_obj0.pgm" in err
+        assert not report.exists()
 
     def test_pred_not_a_directory_exit3(self, tmp_path, capsys):
         data = tmp_path / "data"

@@ -537,6 +537,30 @@ class TestEvolve:
         with pytest.raises(ms.DimensionMismatch):
             ms.evolve(scene, tiny_model, cfg, searchers[:-1])
 
+    @pytest.mark.parametrize("foreign", ["centroid", "clump", "grid", "k"])
+    def test_foreign_searchers_rejected(self, tiny_model, tiny_dataset,
+                                        foreign):
+        scene = tiny_dataset[3]
+        cfg = ms.EvolutionConfig(max_outer_iterations=3)
+        clump, centroids = scene.clump, list(scene.centroids)
+        k, grid = tiny_model.k, cfg.grid
+        if foreign == "centroid":
+            # another point of the same pixel
+            x, y = centroids[0]
+            centroids[0] = (math.floor(x) + (0.25 if x % 1 > 0.5 else 0.75),
+                            y)
+        elif foreign == "clump":
+            clump = clump.copy()
+            clump[0, 0] = not clump[0, 0]
+        elif foreign == "grid":
+            grid = ms.GridSearchConfig(theta_count=36)
+        else:
+            k = 36
+        searchers = [ms.AlignmentSearcher(c, clump, k, grid)
+                     for c in centroids]
+        with pytest.raises(ms.DimensionMismatch, match="searchers"):
+            ms.evolve(scene, tiny_model, cfg, searchers)
+
     def test_default_scale_memory_peak(self):
         # criterion 2's mixed model and a 6-object default-scale scene; the
         # measured peak is 9.5 MB (numpy 2, Python 3.11), the ceiling 1.5x

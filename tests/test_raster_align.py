@@ -8,6 +8,16 @@ from conftest import disk_mask, ellipse_mask
 from oracles import brute_force_align, fill_polygon_oracle, radial_vertices
 
 
+def grid_q(grid, radii, theta, index=slice(None)):
+    """``grid.q_values`` of a (k,) vector or (n, k) batch of radii at
+    rotation ``theta``: its whole-sector shift rolls the radii, and its
+    fractional offset picks the table."""
+    shift, base = ms.geometry.split_rotation(theta, grid.k)
+    inverse = ms.geometry.wrapped_inverse(np.asarray(radii, dtype=float),
+                                          shift)
+    return grid.q_values(inverse, base, index)
+
+
 class TestRasterize:
     def test_disk_area(self):
         radii = np.full(360, 10.0)
@@ -193,11 +203,11 @@ class TestRadialGrid:
         rng = np.random.default_rng(k)
         radii = rng.uniform(8.0, 14.0, size=k)
         grid = ms.geometry.RadialGrid((30.4, 29.7), (60, 60), k, 30.0)
-        base = grid.q_values(radii, 0.0)
+        base = grid_q(grid, radii, 0.0)
         for s in range(0, k, max(1, k // 37)):
             theta = s * 2 * np.pi / k
-            rolled = grid.q_values(np.roll(radii, s), 0.0)
-            assert np.array_equal(grid.q_values(radii, theta), rolled)
+            rolled = grid_q(grid, np.roll(radii, s), 0.0)
+            assert np.array_equal(grid_q(grid, radii, theta), rolled)
             assert s == 0 or not np.array_equal(rolled, base)
 
     def test_distance_ties_in_flat_order(self):
@@ -221,6 +231,39 @@ class TestRadialGrid:
             searcher.grid.mask(radii, 1.0, theta)
         assert len(searcher.grid._tables) == theta_count // np.gcd(
             k, theta_count)
+
+    def test_tables_built_once_per_grid_build(self, monkeypatch):
+        """``_sector_table`` builds: once per grid build and table offset,
+        across a search and its masks (K=48, T=72: three offsets)."""
+        grid_cls = ms.geometry.RadialGrid
+        build, table = grid_cls._build, grid_cls._sector_table
+        builds, tables = [], []
+
+        def counted_build(grid, reach):
+            builds.append(reach)
+            build(grid, reach)
+
+        def counted_table(grid, base):
+            tables.append((len(builds), base))
+            return table(grid, base)
+
+        monkeypatch.setattr(grid_cls, "_build", counted_build)
+        monkeypatch.setattr(grid_cls, "_sector_table", counted_table)
+        k, center = 48, (24.0, 24.0)
+        config = ms.GridSearchConfig(theta_count=72)
+        searcher = ms.AlignmentSearcher(center, disk_mask((48, 48), center,
+                                                          14.0), k, config)
+        radii = bound_radii(k)[2]
+        for scale in (1.0, 1.4):
+            searcher.search(scale * radii)
+            for theta in config.theta_values():
+                searcher.grid.mask(scale * radii, 2.0, theta)
+        assert len(builds) >= 2
+        assert len(tables) == len(set(tables))
+        assert {base for _, base in tables} == set(searcher.grid._tables)
+        assert len(searcher.grid._tables) == 3
+        assert [base for build_no, base in tables
+                if build_no == len(builds)] == list(searcher.grid._tables)
 
     def test_searchers_share_one_rotation_plan(self):
         k = 48
@@ -301,7 +344,7 @@ class TestSearchBounds:
         ceiling = ms.geometry.area_ceiling(radii, r)
         thetas = ms.GridSearchConfig(theta_count=theta_count).theta_values()
         for theta in [*thetas, rng.uniform(0.0, 2 * np.pi)]:
-            exact = np.count_nonzero(grid.q_values(radii, theta) <= r)
+            exact = np.count_nonzero(grid_q(grid, radii, theta) <= r)
             assert exact <= ceiling, f"theta={theta}"
 
     @pytest.mark.parametrize("k, theta_count", BOUND_CASES)
@@ -316,7 +359,7 @@ class TestSearchBounds:
             ceiling = ms.geometry.area_ceiling(radii, rs)
             for theta in config.theta_values():
                 exact = np.count_nonzero(
-                    grid.q_values(radii, theta) <= rs[:, None], axis=1)
+                    grid_q(grid, radii, theta) <= rs[:, None], axis=1)
                 assert np.all(exact <= ceiling), f"theta={theta}"
 
     def test_area_ceiling_is_elementwise_in_scale(self):
@@ -360,34 +403,30 @@ class TestSearchBounds:
         config = ms.GridSearchConfig(theta_count=theta_count)
         for radii in bound_radii(k):
             for r in config.r_values():
-                core = int(grid.core_stop(r * radii.min()))
+                core = grid.core_stop(r * radii.min())
                 assert core > 0
                 for theta in config.theta_values():
-                    q = grid.q_values(radii, theta, slice(0, core))
+                    q = grid_q(grid, radii, theta, slice(0, core))
                     assert np.all(q <= r), f"r={r} theta={theta}"
 
     @pytest.mark.parametrize("k, theta_count", BOUND_CASES)
     def test_inside_skips_only_the_core(self, k, theta_count):
+        """``mask`` evaluates only the annulus, and the core it skips is
+        inside; banded batches are covered by the inside_near tests."""
         grid = ms.geometry.RadialGrid((30.3, 29.6), (60, 60), k, 26.0)
         config = ms.GridSearchConfig(theta_count=theta_count)
-        shapes = bound_radii(k)
-        # a (2t, k) batch like the evolution's probe table, with t = 4
-        rng = np.random.default_rng(k + 1)
-        probes = shapes[1] * (1.0 + 0.05 * rng.standard_normal((8, k)))
         width, height = grid.dims
-        for radii in shapes + [probes]:
+        for radii in bound_radii(k):
             for r in config.r_values()[::8]:
                 for theta in config.theta_values():
-                    lo, stop, inside = grid.inside(radii, r, theta)
-                    full = grid.q_values(radii, theta)[..., :stop] <= r
+                    lo = grid.core_stop(r * radii.min())
+                    stop = grid.reach_stop(r * radii.max())
+                    full = grid_q(grid, radii, theta)[:stop] <= r
                     assert 0 < lo <= stop
-                    assert np.array_equal(inside, full[..., lo:])
-                    assert np.all(full[..., :lo]), f"r={r} theta={theta}"
-                    if radii.ndim == 1:
-                        want = np.zeros(width * height, dtype=bool)
-                        want[grid.flat_index[:stop][full]] = True
-                        assert np.array_equal(grid.mask(radii, r, theta),
-                                              want)
+                    assert np.all(full[:lo]), f"r={r} theta={theta}"
+                    want = np.zeros(width * height, dtype=bool)
+                    want[grid.flat_index[:stop][full]] = True
+                    assert np.array_equal(grid.mask(radii, r, theta), want)
 
 
 GROWTH_CENTERS = [(0.0, 0.0), (29.5, 0.25), (23.37, 31.81)]
@@ -435,9 +474,8 @@ class TestGridGrowth:
     @pytest.mark.parametrize("k", GROWTH_KS)
     def test_core_stop_grows_first(self, center, k):
         small, full = grid_pair(center, k)
-        extents = np.array([5.0, 17.5, 40.0])
-        assert np.array_equal(small.core_stop(extents),
-                              full.core_stop(extents))
+        for extent in (5.0, 17.5, 40.0):
+            assert small.core_stop(extent) == full.core_stop(extent)
         assert_prefix(small, full, [0.0])
 
     @pytest.mark.parametrize("center", GROWTH_CENTERS)
