@@ -24,7 +24,7 @@ from .errors import (
 from .evolution import evolve
 from .importance import TrainingPair, dataset_examples, learn
 from .metrics import bin_by_degree, object_report, pixel_metrics
-from .netpbm import atomic_write, write_pgm, write_ppm
+from .netpbm import atomic_write, write_json, write_pgm, write_ppm
 from .raster import boundary
 from .shape_model import build_model, load_model, sample_shape_vector, save_model
 from .synthgen import (
@@ -33,7 +33,6 @@ from .synthgen import (
     import_dataset,
     import_scene,
     read_mask,
-    read_manifest,
     scene_dirs,
 )
 
@@ -58,41 +57,12 @@ def _fail(exc, prefix=""):
     return EXIT_CONFIG if category == "config" else EXIT_IO
 
 
-def _dump_json(path, doc):
-    atomic_write(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
-
-
 def _config_from_args(args):
     return RunConfig.load(path=args.config, overrides=args.overrides)
 
 
-def _check_unique(scene_ids, path):
-    """Reject a dataset in which two scenes share a scene_id, since the id
-    names every output file of its scene."""
-    seen = set()
-    for scene_id in scene_ids:
-        if scene_id in seen:
-            raise DatasetIOError(
-                f"{path}: scene_id {scene_id!r} names more than one scene")
-        seen.add(scene_id)
-
-
 def _load_scenes(path):
-    scenes = sorted(import_dataset(path), key=lambda scene: scene.scene_id)
-    if not scenes:
-        raise DatasetIOError(f"no scenes found in {path}")
-    _check_unique([scene.scene_id for scene in scenes], path)
-    return scenes
-
-
-def _manifest_ids(paths):
-    """The scene_ids of the readable manifests among the scene directories
-    ``paths``; an unreadable one fails only its own scene, later."""
-    for scene_dir in paths:
-        try:
-            yield read_manifest(scene_dir)[3]
-        except DatasetIOError:
-            continue
+    return sorted(import_dataset(path), key=lambda scene: scene.scene_id)
 
 
 def cmd_generate(args):
@@ -169,7 +139,7 @@ def cmd_train(args):
         "variance_threshold": cfg.variance_threshold,
         "learned_importance": bool(args.learn_importance),
     }
-    _dump_json(f"{args.out}.manifest.json", manifest)
+    write_json(f"{args.out}.manifest.json", manifest)
     if history:
         lines = [json.dumps({
             "cycle": u.cycle, "pair": u.pair_index, "example": u.example_index,
@@ -223,7 +193,7 @@ def _write_segmentation(scene, model, evolution_config, out_dir):
         "final_energy": state.energy,
         "halted_reason": state.halted_reason,
     }
-    _dump_json(os.path.join(out_dir, f"{scene.scene_id}_trace.json"),
+    write_json(os.path.join(out_dir, f"{scene.scene_id}_trace.json"),
                trace_doc)
     write_ppm(os.path.join(out_dir, f"{scene.scene_id}_overlay.ppm"),
               _overlay_image(scene, masks))
@@ -250,9 +220,6 @@ def cmd_segment(args):
         raise ConfigError(
             f"model K={model.k} does not match configured K={cfg.k}")
     scenes = scene_dirs(args.dataset)
-    if not scenes:
-        raise DatasetIOError(f"no scenes found in {args.dataset}")
-    _check_unique(_manifest_ids(scenes), args.dataset)
     os.makedirs(args.out, exist_ok=True)
 
     # at most one worker per scene; fork starts them all at the first submit
@@ -272,7 +239,7 @@ def cmd_segment(args):
     report = {"scenes": summaries}
     if all_dsc:
         report["mean_dsc"] = float(np.mean(all_dsc))
-    _dump_json(os.path.join(args.out, "segment_summary.json"), report)
+    write_json(os.path.join(args.out, "segment_summary.json"), report)
     failed = [(summary["scene_id"], exc) for summary, exc in results
               if exc is not None]
     line = f"segmented {len(scenes)} scenes into {args.out}"
@@ -327,7 +294,7 @@ def cmd_evaluate(args):
     reports = [r for row in rows for r in row["objects"]]
     aggregate = {name: _stats([row[name] for row in rows]) for name in RATES}
     aggregate["dsc"] = _stats([r.dsc for r in reports])
-    _dump_json(args.report, {
+    write_json(args.report, {
         "scenes": [{**row, "objects": [
             {"object_id": r.object_id, "dsc": r.dsc,
              "overlapping_degree": r.overlapping_degree,

@@ -173,9 +173,11 @@ def polar_box(center, dims, reach):
     their distances.  The box holds every canvas pixel within ``reach`` (it
     is empty when there is none).  The offsets are materialized, so every
     ufunc runs on contiguous arrays and evaluates a pixel identically in
-    every box that holds it.
+    every box that holds it.  The canvas ``dims`` must be positive.
     """
     (cx, cy), (width, height) = center, dims
+    if width <= 0 or height <= 0:
+        raise ValueError("canvas dims must be positive")
     x0 = max(int(np.floor(cx - reach)) - 1, 0)
     x1 = min(int(np.ceil(cx + reach)) + 1, width)
     y0 = max(int(np.floor(cy - reach)) - 1, 0)
@@ -290,8 +292,6 @@ def box_mask(center, dims, radii, r, theta):
     about the center, so nothing is sorted or kept.
     """
     width, height = int(dims[0]), int(dims[1])
-    if width <= 0 or height <= 0:
-        raise ValueError("canvas dims must be positive")
     center = (float(center[0]), float(center[1]))
     radii = np.asarray(radii, dtype=np.float64)
     k = radii.size
@@ -335,13 +335,10 @@ class RadialGrid:
     """
 
     def __init__(self, center, dims, k, extent):
-        width, height = int(dims[0]), int(dims[1])
-        if width <= 0 or height <= 0:
-            raise ValueError("canvas dims must be positive")
         if k < 3:
             raise ValueError("k must be at least 3")
         self.center = (float(center[0]), float(center[1]))
-        self.dims = (width, height)
+        self.dims = (int(dims[0]), int(dims[1]))
         self.k = int(k)
         self._build(reach_distance(float(extent)))
 

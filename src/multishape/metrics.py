@@ -39,17 +39,6 @@ class PixelReport:
     fnr: float
 
 
-def _check_dims(masks):
-    shape = None
-    for m in masks:
-        m = np.asarray(m)
-        if shape is None:
-            shape = m.shape
-        elif m.shape != shape:
-            raise DimensionMismatch(f"mask {m.shape} vs {shape}")
-    return shape
-
-
 def pixel_metrics(predicted, truth):
     """TPR/TNR/FPR/FNR for one scene of paired masks.
 
@@ -61,10 +50,12 @@ def pixel_metrics(predicted, truth):
             f"{len(predicted)} predictions for {len(truth)} truths")
     if not truth:
         raise EmptyTruth("no ground-truth masks")
-    _check_dims(list(predicted) + list(truth))
-
+    # union checks the masks within each list
     pred_union = union(predicted)
     truth_union = union(truth)
+    if pred_union.shape != truth_union.shape:
+        raise DimensionMismatch(
+            f"mask {pred_union.shape} vs {truth_union.shape}")
     fn_pixels = 0
     truth_pixels = 0
     for p, g in zip(predicted, truth):
@@ -105,11 +96,13 @@ def overlapping_degree(object_truth, other_truths, centroid, k=DEFAULT_K):
     result lives in [0, 1): a fully occluded boundary reports (k-1)/k.
     """
     object_truth = np.asarray(object_truth, dtype=bool)
-    _check_dims([object_truth] + list(other_truths))
     radii = sample_shape_vector(object_truth, centroid, k)
     if not other_truths:
         return 0.0
     others = union(other_truths)
+    if others.shape != object_truth.shape:
+        raise DimensionMismatch(
+            f"mask {others.shape} vs {object_truth.shape}")
     angles = TWO_PI * np.arange(k) / k
     x = centroid[0] + radii * np.cos(angles)
     y = centroid[1] + radii * np.sin(angles)

@@ -4,12 +4,15 @@ Masks go to binary PGM (P5) with foreground 255 and background 0; the
 reader also accepts ASCII PGM (P2) and treats any nonzero value as
 foreground.  Color overlays go to binary PPM (P6).  Every file the package
 writes, images and JSON or CSV documents alike, goes through
-:func:`atomic_write`: a temporary file and an atomic rename.  Numbers read
-from outside documents go through :func:`finite_number`.
+:func:`atomic_write`: a temporary file and an atomic rename.  Every JSON
+document goes through :func:`write_json`, the one format that keeps reruns
+byte identical.  Numbers read from outside documents go through
+:func:`finite_number`.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
 
@@ -26,6 +29,11 @@ def atomic_write(path, data):
     with open(tmp, "wb") as fh:
         fh.write(data)
     os.replace(tmp, path)
+
+
+def write_json(path, doc):
+    """Write ``doc`` as JSON with sorted keys and a one-space indent."""
+    atomic_write(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
 def finite_number(kind, value):

@@ -24,7 +24,7 @@ from .errors import (
     RankDeficient,
 )
 from .geometry import TWO_PI, on_foreground
-from .netpbm import atomic_write, finite_number
+from .netpbm import finite_number, write_json
 
 DEFAULT_K = 360
 DEFAULT_VARIANCE_THRESHOLD = 0.995
@@ -232,12 +232,12 @@ def clamp_coefficients(model, coeffs):
     return np.clip(coeffs, -bound, bound)
 
 
-def synthesize(model, coeffs, radius_floor=RADIUS_FLOOR):
+def synthesize(model, coeffs):
     """Shape for a raw coefficient vector: mean + basis @ clip(coeffs).
 
     ``coeffs`` may also be an ``(n, t)`` batch, giving one shape per row;
     each row equals the shape of that row alone, bitwise.  Radii are
-    floored at ``radius_floor`` so the synthesized polygon stays simple and
+    floored at ``RADIUS_FLOOR`` so the synthesized polygon stays simple and
     strictly positive.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
@@ -246,7 +246,7 @@ def synthesize(model, coeffs, radius_floor=RADIUS_FLOOR):
             f"coefficient length {coeffs.shape} does not match t={model.t}")
     clipped = clamp_coefficients(model, coeffs)
     shape = model.mean + np.matmul(model.basis, clipped[..., None])[..., 0]
-    return np.maximum(shape, radius_floor)
+    return np.maximum(shape, RADIUS_FLOOR)
 
 
 def save_model(model, path):
@@ -260,7 +260,7 @@ def save_model(model, path):
         "variance_fraction": float(model.variance_fraction),
         "weights": [] if model.weights is None else model.weights.tolist(),
     }
-    atomic_write(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    write_json(path, doc)
 
 
 def _float_array(value):

@@ -9,6 +9,7 @@ per-object truth masks; centroids are the true generation centers.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import CanvasTooSmall, DatasetIOError, ManifestMismatch
 from .geometry import TWO_PI
-from .netpbm import atomic_write, finite_number, read_pgm, write_pgm
+from .netpbm import finite_number, read_pgm, write_json, write_pgm
 from .raster import Alignment, rasterize, union
 from .scene import ClumpScene
 from .shape_model import DEFAULT_K, RADIUS_FLOOR
@@ -29,6 +30,8 @@ MAX_CANVAS_SIDE = 10**4
 MAX_K = 10**4
 # Ceiling on a scene's object count: each object gets a canvas-sized mask.
 MAX_OBJECTS = 10**3
+# Ceiling on a scene's objects times canvas pixels, its truth masks' size.
+MAX_SCENE_PIXELS = 10**9
 
 
 @dataclass(frozen=True)
@@ -58,6 +61,9 @@ class GeneratorConfig:
             raise ValueError(f"k must be in [3, {MAX_K}]")
         if not max(self.canvas) <= MAX_CANVAS_SIDE:
             raise ValueError(f"canvas sides must be at most {MAX_CANVAS_SIDE}")
+        if self.n_objects[1] * math.prod(self.canvas) > MAX_SCENE_PIXELS:
+            raise ValueError(f"n_objects times canvas pixels may be at most "
+                             f"{MAX_SCENE_PIXELS}")
 
     def validate_canvas(self):
         need = 2.0 * self.base_radius[1] * self.eccentricity[1]
@@ -154,26 +160,46 @@ def export_dataset(scenes, directory):
             "centroids": [[x, y] for x, y in scene.centroids],
             "truth_count": len(scene.truth or []),
         }
-        atomic_write(os.path.join(scene_dir, "scene.json"),
-                     json.dumps(doc, sort_keys=True, indent=1) + "\n")
+        write_json(os.path.join(scene_dir, "scene.json"), doc)
 
 
 def scene_dirs(directory):
-    """Sorted paths of the subdirectories of ``directory`` with a scene.json."""
+    """Sorted paths of the subdirectories of ``directory`` with a scene.json.
+
+    The dataset rules live here.  A directory with no scene, and two
+    readable manifests that name one scene_id (the id names every output
+    file of its scene), are a :class:`DatasetIOError`.  A manifest that
+    cannot be read is skipped here; it fails only its own scene, when
+    :func:`import_scene` reads it.
+    """
     try:
         entries = sorted(e for e in os.listdir(directory)
                          if os.path.isdir(os.path.join(directory, e)))
     except OSError as exc:
         raise DatasetIOError(f"cannot list {directory}: {exc}") from exc
-    return [os.path.join(directory, e) for e in entries
-            if os.path.exists(os.path.join(directory, e, "scene.json"))]
+    paths = [os.path.join(directory, e) for e in entries
+             if os.path.exists(os.path.join(directory, e, "scene.json"))]
+    if not paths:
+        raise DatasetIOError(f"no scenes found in {directory}")
+    seen = set()
+    for scene_dir in paths:
+        try:
+            scene_id = read_manifest(scene_dir)[3]
+        except DatasetIOError:
+            continue
+        if scene_id in seen:
+            raise DatasetIOError(
+                f"{directory}: scene_id {scene_id!r} names more than one scene")
+        seen.add(scene_id)
+    return paths
 
 
 def read_manifest(scene_dir):
     """``(centroids, dims, truth_count, scene_id)`` of a scene.json, checked.
 
     The scene_id defaults to the directory's name.  Every problem is a
-    :class:`DatasetIOError`.
+    :class:`DatasetIOError`, among them a scene with no centroid and one
+    past ``MAX_SCENE_PIXELS``, found before any mask is read.
     """
     entry = os.path.basename(scene_dir)
     manifest_path = os.path.join(scene_dir, "scene.json")
@@ -196,6 +222,12 @@ def read_manifest(scene_dir):
             c in scene_id for c in "/\\\0"):
         raise DatasetIOError(
             f"{manifest_path}: scene_id {scene_id!r} is not a file name")
+    if not centroids:
+        raise DatasetIOError(f"{manifest_path}: scene has no centroids")
+    if len(centroids) * math.prod(dims) > MAX_SCENE_PIXELS:
+        raise DatasetIOError(
+            f"{manifest_path}: {len(centroids)} objects times dims "
+            f"{list(dims)} pass the ceiling of {MAX_SCENE_PIXELS} pixels")
     if truth_count and truth_count != len(centroids):
         raise ManifestMismatch(
             f"{manifest_path}: {len(centroids)} centroids but "

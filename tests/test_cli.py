@@ -10,6 +10,7 @@ import pytest
 import multishape as ms
 import multishape.cli
 from multishape.cli import _fail, main
+from multishape.synthgen import MAX_SCENE_PIXELS
 
 SMALL_ARGS = [
     "--generator.n_objects", "2,2",
@@ -251,6 +252,8 @@ class TestMalformedFiles:
         "invalid_json": lambda doc: "{not json",
         "no_centroids": lambda doc: json.dumps(
             {k: v for k, v in doc.items() if k != "centroids"}),
+        "empty_centroids": lambda doc: json.dumps(
+            {**doc, "centroids": [], "truth_count": 0}),
         "dims_mismatch": lambda doc: json.dumps({**doc, "dims": [95, 96]}),
         # numbers past the finite, whole-for-an-int rule
         "inf_dims": lambda doc: json.dumps(
@@ -534,6 +537,30 @@ class TestSegment:
         err = capsys.readouterr().err
         assert err.startswith("error:io:") and "'scene_0000'" in err
         assert not out.exists()
+
+    def test_scene_past_the_pixel_ceiling_fails_alone(self, tmp_path,
+                                                      capsys):
+        data = tmp_path / "data"
+        model = tmp_path / "m.json"
+        assert main(["generate", "--out", str(data), "--count", "2",
+                     "--seed", "5"] + SMALL_ARGS) == 0
+        assert main(["train", "--dataset", str(data), "--out", str(model)]
+                    + SMALL_ARGS) == 0
+        path = data / "scene_0001" / "scene.json"
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "dims": [MAX_SCENE_PIXELS, 1]}))
+        capsys.readouterr()
+        out = tmp_path / "seg"
+        code = main(["segment", "--model", str(model), "--dataset", str(data),
+                     "--out", str(out)] + SMALL_ARGS)
+        assert code == 3
+        err = capsys.readouterr().err
+        # the ceiling, not the dims mismatch with clump.pgm, is reported
+        assert err.startswith("error:io:") and "scene.json" in err
+        assert str(MAX_SCENE_PIXELS) in err
+        summary = json.loads((out / "segment_summary.json").read_text())
+        halts = [s["halted_reason"] for s in summary["scenes"]]
+        assert halts[0] != "error" and halts[1] == "error"
 
     def test_jobs_capped_at_scene_count(self, tmp_path, monkeypatch):
         pools = []

@@ -7,7 +7,8 @@ import multishape as ms
 from multishape.cli import main
 from multishape.align import MAX_SCALES
 from multishape.config import MAX_ROTATION_PLAN, RunConfig, schema_keys
-from multishape.synthgen import MAX_CANVAS_SIDE, MAX_K, MAX_OBJECTS
+from multishape.synthgen import (
+    MAX_CANVAS_SIDE, MAX_K, MAX_OBJECTS, MAX_SCENE_PIXELS)
 
 
 @pytest.fixture(autouse=True)
@@ -221,6 +222,13 @@ CEILING_CASES = [
     ({"k": 10001}, MAX_K),
     ({"generator.n_objects": [2, 1e9]}, MAX_OBJECTS),
     ({"generator.n_objects": [2, MAX_OBJECTS + 1]}, MAX_OBJECTS),
+    # each under its own ceiling, but ~93 GiB of truth masks together
+    ({"generator.n_objects": [MAX_OBJECTS, MAX_OBJECTS],
+      "generator.canvas": [MAX_CANVAS_SIDE, MAX_CANVAS_SIDE]},
+     MAX_SCENE_PIXELS),
+    ({"generator.n_objects": [2, 11],
+      "generator.canvas": [MAX_CANVAS_SIDE, MAX_CANVAS_SIDE]},
+     MAX_SCENE_PIXELS),
 ]
 
 
@@ -252,6 +260,9 @@ def test_size_ceilings_exit2(tmp_path, capsys, values, ceiling):
      "grid.r_step": 0.125},
     {"generator.canvas": [MAX_CANVAS_SIDE, MAX_CANVAS_SIDE]},
     {"generator.n_objects": [MAX_OBJECTS, MAX_OBJECTS]},
+    # exactly MAX_SCENE_PIXELS
+    {"generator.n_objects": [10, 10],
+     "generator.canvas": [MAX_CANVAS_SIDE, MAX_CANVAS_SIDE]},
 ])
 def test_values_at_the_ceilings_accepted(values):
     RunConfig.from_values(values)

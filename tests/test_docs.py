@@ -66,3 +66,28 @@ def test_docstring_references_resolve():
         if not any(resolves(root, path) for root in roots):
             stale.append(f"{name}: {target}")
     assert stale == []
+
+
+def imported_names(tree):
+    """The names a module's import statements bind, __future__ aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+
+
+def test_no_unused_imports():
+    """Every module but ``__init__`` (which re-exports) uses each name it
+    imports; an attribute chain such as ``np.zeros`` uses its first name."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in imported_names(tree)
+                   if name not in used]
+    assert unused == []

@@ -118,6 +118,12 @@ class TestOverlappingDegree:
         d = ms.overlapping_degree(m, [other], (24.0, 24.0), 72)
         assert 0.0 <= d < 1.0
 
+    def test_dimension_mismatch(self):
+        m = disk_mask((48, 48), (24, 24), 8)
+        other = disk_mask((48, 50), (28, 24), 8)
+        with pytest.raises(ms.DimensionMismatch):
+            ms.overlapping_degree(m, [other], (24.0, 24.0), 36)
+
 
 class TestBinning:
     def _report(self, dsc, degree):

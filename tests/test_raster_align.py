@@ -167,6 +167,13 @@ class TestBoxRaster:
         mask = ms.rasterize(radii, (-50.0, 90.0), ms.Alignment(), (20, 10))
         assert mask.shape == (10, 20) and not mask.any()
 
+    @pytest.mark.parametrize("dims", [(0, 16), (16, 0), (-3, 16)])
+    def test_non_positive_canvas_named(self, dims):
+        with pytest.raises(ValueError, match="canvas dims must be positive"):
+            ms.rasterize(np.full(4, 4.0), (8.0, 8.0), ms.Alignment(), dims)
+        with pytest.raises(ValueError, match="canvas dims must be positive"):
+            ms.geometry.RadialGrid((8.0, 8.0), dims, 4, 4.0)
+
     @pytest.mark.parametrize("radii, problem", [
         ([4.0, np.nan, 4.0, 4.0], "finite"),
         ([4.0, np.inf, 4.0, 4.0], "finite"),

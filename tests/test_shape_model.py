@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import multishape as ms
+from multishape.shape_model import RADIUS_FLOOR
 from conftest import disk_family_examples, disk_mask, ellipse_mask
 from oracles import full_ray_walk, ray_rectangle_exit
 
@@ -282,9 +284,13 @@ class TestSynthesize:
                               ms.synthesize(small_model, x_box))
 
     def test_radius_floor(self, small_model):
-        x = np.zeros(small_model.t)
-        shape = ms.synthesize(small_model, x, radius_floor=5.0)
-        assert np.all(shape >= 5.0)
+        # a mean below the floor on every other ray: those radii are floored
+        mean = small_model.mean.copy()
+        mean[::2] = 0.25
+        model = dataclasses.replace(small_model, mean=mean)
+        shape = ms.synthesize(model, np.zeros(model.t))
+        assert np.all(shape[::2] == RADIUS_FLOOR)
+        assert np.array_equal(shape[1::2], mean[1::2])
 
     def test_dimension_mismatch(self, small_model):
         with pytest.raises(ms.DimensionMismatch):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import multishape as ms
+from multishape.synthgen import MAX_CANVAS_SIDE, MAX_SCENE_PIXELS
 
 
 SMALL = dict(n_objects=(2, 3), base_radius=(8.0, 12.0), canvas=(96, 96), k=72)
@@ -112,6 +113,38 @@ class TestDatasetIO:
         (scene_dir / "scene.json").write_text(json.dumps(manifest))
         with pytest.raises(ms.ManifestMismatch):
             ms.import_dataset(tmp_path)
+
+    def test_empty_directory(self, tmp_path):
+        with pytest.raises(ms.DatasetIOError, match="no scenes found"):
+            ms.import_dataset(tmp_path)
+
+    def test_repeated_scene_id(self, tmp_path):
+        cfg = ms.GeneratorConfig(seed=4, **SMALL)
+        ms.export_dataset(ms.generate_batch(cfg, 2), tmp_path)
+        path = tmp_path / "scene_0001" / "scene.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()),
+                                    "scene_id": "scene_0000"}))
+        with pytest.raises(ms.DatasetIOError,
+                           match="'scene_0000' names more than one scene"):
+            ms.import_dataset(tmp_path)
+
+    def test_scene_past_the_pixel_ceiling(self, tmp_path):
+        cfg = ms.GeneratorConfig(seed=4, **SMALL)
+        ms.export_dataset([ms.generate_scene(cfg, 0)], tmp_path)
+        scene_dir = tmp_path / "scene_0000"
+        path = scene_dir / "scene.json"
+        doc = json.loads(path.read_text())
+        side = MAX_CANVAS_SIDE
+        # one more object than fits the ceiling at the largest canvas
+        doc.update(dims=[side, side], truth_count=0,
+                   centroids=[[1.0, 1.0]] * (MAX_SCENE_PIXELS // side**2 + 1))
+        path.write_text(json.dumps(doc))
+        # the manifest is refused before clump.pgm is read
+        (scene_dir / "clump.pgm").unlink()
+        with pytest.raises(ms.DatasetIOError) as err:
+            ms.import_dataset(tmp_path)
+        assert "scene.json" in str(err.value)
+        assert str(MAX_SCENE_PIXELS) in str(err.value)
 
     def test_missing_clump_named(self, tmp_path):
         cfg = ms.GeneratorConfig(seed=4, **SMALL)
