@@ -26,7 +26,10 @@ and rotations that can matter:
    running minimum or above every grid scale (its BOUND_MARGIN exceeds the
    rounding and closure of q), so once the outward scan passes that
    distance the rotation's feasible scales are final.  The polar grid
-   grows only when a rotation still reaches past it.
+   grows only when a rotation still reaches past it.  The searcher keeps
+   the grid positions of the background pixels and refreshes them at the
+   top of the scan loop in ``_background_min`` whenever the grid has
+   grown, since masks and searches both grow it.
 2. **Only the annulus of the top rotations is counted.**  The rotations
    whose largest feasible scale r is the largest of all share r.  Since
    q <= d / (min(radii) * cos(pi/K)), pixels within
@@ -177,15 +180,6 @@ class AlignmentSearcher:
                 for step in (1, -1)]
         return out
 
-    def _sync_background(self):
-        """Refresh ``_bg_positions`` if the grid has grown since: the grid
-        positions of the pixels off the clump, ascending, so their
-        distances ascend too.  Masks and searches both grow the grid."""
-        if self._synced != self.grid.size:
-            self._bg_positions = np.flatnonzero(
-                ~self._clump[self.grid.flat_index])
-            self._synced = self.grid.size
-
     def _rotated_q(self, inverse, selected, index):
         """``(rows, q)`` per table offset: the ``selected`` rotations sharing
         it and their containment values at ``index``, one row per rotation;
@@ -216,12 +210,20 @@ class AlignmentSearcher:
         grid grows only when the scan has passed every built pixel and some
         rotation still reaches beyond them.  A minimum above ``cap`` is not
         exact, but it stays above ``cap``.
+
+        ``_bg_positions`` holds the grid positions of the pixels off the
+        clump, ascending, so their distances ascend too.
         """
-        self._sync_background()
         minimum = np.full(inverse.shape[0], np.inf)
         start = 0
         chunk = 256
         while True:
+            # masks and searches both grow the grid, so the background
+            # positions are refreshed whenever its size has changed
+            if self._synced != self.grid.size:
+                self._bg_positions = np.flatnonzero(
+                    ~self._clump[self.grid.flat_index])
+                self._synced = self.grid.size
             reach = reach_distance(np.minimum(minimum, cap) * max_s)
             farthest = float(reach.max())
             positions, dist = self._bg_positions, self.grid.dist
@@ -229,7 +231,6 @@ class AlignmentSearcher:
                 if farthest <= self.grid.reach:
                     break
                 self.grid.cover(farthest)
-                self._sync_background()
                 continue
             active = reach >= dist[positions[start]]
             if not active.any():
@@ -271,8 +272,8 @@ class AlignmentSearcher:
         inside at every rotation and pixels past the reach of the largest
         are outside, so only the annulus between them is evaluated.
         """
-        lo = self.grid.core_stop(float(r[selected].min()) * min_s)
-        hi = self.grid.reach_stop(float(r[selected].max()) * max_s)
+        lo, hi = self.grid.annulus(float(r[selected].min()) * min_s,
+                                   float(r[selected].max()) * max_s)
         return lo + self._inside_counts(inverse, selected, r, lo, hi)
 
     def search(self, radii):
@@ -292,7 +293,7 @@ class AlignmentSearcher:
           change its feasible scales (see :meth:`_background_min`);
         - the rotations at the largest feasible scale are counted only over
           the annulus between the pixels inside at every rotation and the
-          reach of that scale (:meth:`RadialGrid.core_stop`);
+          reach of that scale (:meth:`RadialGrid.annulus`);
         - a rotation at a smaller scale beats them only with a strictly
           larger area, since equal areas go to the larger scale, so it is
           counted only if the area ceiling of its scale

@@ -213,8 +213,6 @@ def cmd_segment(args):
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = _config_from_args(args)
-    if not os.path.exists(args.model):
-        raise DatasetIOError(f"missing model file: {args.model}")
     model = load_model(args.model)
     if model.k != cfg.k:
         raise ConfigError(

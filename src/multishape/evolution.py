@@ -232,7 +232,8 @@ class _Fit:
     ``radii`` their shapes; ``masks`` are flat over the clump's pixels, each
     the grid mask of its object's radii at its alignment (the probe table
     relies on it), and ``energy`` scores their union.  A fit is never
-    mutated: every move builds a new one with :meth:`_SceneEngine.revise`.
+    mutated: every move builds a new one with :meth:`_SceneEngine.revise`,
+    so every fit's ``c`` lies in the box of +-``COEFF_SIGMA_BOX``.
     """
 
     c: np.ndarray
@@ -292,10 +293,12 @@ class _SceneEngine:
     def revise(self, fit, c=None, alignments=None):
         """``fit`` with new coefficients and/or alignments, re-scored.
 
+        New coefficients are clipped to the box of +-``COEFF_SIGMA_BOX``.
         Only objects whose coefficients changed are re-synthesized, and only
         objects whose coefficients or alignment changed are re-rasterized.
         """
-        c = fit.c if c is None else c
+        c = fit.c if c is None else np.clip(c, -COEFF_SIGMA_BOX,
+                                            COEFF_SIGMA_BOX)
         alignments = fit.alignments if alignments is None else tuple(alignments)
         radii, masks = list(fit.radii), list(fit.masks)
         reshaped = [i for i in range(self.n)
@@ -345,20 +348,6 @@ class _SceneEngine:
             energies[i] = fit.energy - before + after
         return energies
 
-    @staticmethod
-    def _best_table_move(table, e_cur):
-        """Best improving coordinate move of a probe table, or None.
-
-        Ties resolve to the first minimum in scan order: by object, then by
-        mode with the positive probe before the negative one.
-        """
-        flat_table = table.reshape(-1)
-        flat = int(np.argmin(flat_table))
-        if int(flat_table[flat]) >= e_cur:
-            return None
-        i_obj, col = divmod(flat, table.shape[1])
-        return i_obj, col // 2, 1.0 if col % 2 == 0 else -1.0
-
     def refresh_alignments(self, fit, searched_c):
         """Re-search the alignments of objects reshaped since ``searched_c``.
 
@@ -388,12 +377,13 @@ class _SceneEngine:
         for step_scale in (FD_STEP, 2.0 * FD_STEP, 4.0 * FD_STEP):
             if step_scale != FD_STEP:
                 table = self._probe_table(fit, step_scale)
-            move = self._best_table_move(table, fit.energy)
-            if move is not None:
-                i, j, sign = move
+            # ties go to the first minimum: by object, then by mode with
+            # the positive probe before the negative one
+            flat = int(np.argmin(table))
+            if table.flat[flat] < fit.energy:
+                i, col = divmod(flat, 2 * self.t)
                 c = fit.c.copy()
-                c[i, j] = min(max(c[i, j] + sign * step_scale,
-                                  -COEFF_SIGMA_BOX), COEFF_SIGMA_BOX)
+                c[i, col // 2] += step_scale if col % 2 == 0 else -step_scale
                 return self.revise(fit, c=c), step_scale
         for i in range(self.n):
             for candidate in self.searchers[i].neighbors(fit.alignments[i]):
@@ -439,9 +429,7 @@ class _SceneEngine:
             p = trust_region_step(g, hess, delta)
             predicted = -_model_value(g, hess, p)
             step_norm = float(np.linalg.norm(p))
-            trial = self.revise(fit, c=np.clip(fit.c + p.reshape(n, t),
-                                               -COEFF_SIGMA_BOX,
-                                               COEFF_SIGMA_BOX))
+            trial = self.revise(fit, c=fit.c + p.reshape(n, t))
             if predicted > 0 and trial.energy < fit.energy:
                 rho = (fit.energy - trial.energy) / predicted
                 trace.append(TraceRow(iteration, trial.energy, delta,

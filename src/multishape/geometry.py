@@ -1,8 +1,9 @@
 """Polar pixel tables for radial shapes.
 
 A radial shape is a closed polygon whose K vertices sit at the angles
-2*pi*k/K (counter-clockwise from the +x axis) at per-angle distances from a
-fixed center.  Because consecutive vertices are less than pi apart and all
+2*pi*k/K (counter-clockwise from the +x axis; :func:`ray_angles` is the
+package's one copy of that rule) at per-angle distances from a fixed
+center.  Because consecutive vertices are less than pi apart and all
 distances are positive, the polygon boundary is a single-valued function of
 the polar angle, so the filled region is exactly the set of points whose
 distance to the center does not exceed the boundary chord at their angle.
@@ -66,9 +67,11 @@ lies between d and d / cos(pi/K).  Hence
 so pixels within r * min(radii) * cos(pi/K) are inside at every rotation
 (:func:`core_distance`).  Both pixel orders skip the certified core: they
 evaluate q only on the annulus between the core and the reach
-r * max(radii) (:func:`reach_distance`).  The same sum bounds how far q
-moves when the radii change: two shapes whose inverse radii differ by at
-most delta give any pixel q values at most delta * d / cos(pi/K) apart, so
+r * max(radii) (:func:`reach_distance`).  On a grid that pair of stops is
+one query, :meth:`RadialGrid.annulus`, used by masks, probes and the
+alignment search alike.  The same sum bounds how far q moves when the
+radii change: two shapes whose inverse radii differ by at most delta give
+any pixel q values at most delta * d / cos(pi/K) apart, so
 a batch of shapes near a reference one is evaluated only on the reference's
 boundary band (:meth:`RadialGrid.inside_near`).  Every bound is widened by
 BOUND_MARGIN, which suffices: rounding (~1e-14 relative, times
@@ -118,6 +121,11 @@ GROWTH = 1.25
 # snapping is exact; coarse enough that every theta of one exact offset,
 # computed in floating point, lands on the same multiple for K up to ~10^4.
 OFFSET_QUANTUM = 2.0 ** -36
+
+
+def ray_angles(k):
+    """The K ray angles 2*pi*j/K of a shape vector, j = 0, ..., K - 1."""
+    return TWO_PI * np.arange(k) / k
 
 
 def split_rotation(theta, k):
@@ -248,7 +256,7 @@ def sector_q(inverse, m, coef_a, coef_b):
 @functools.lru_cache(maxsize=8)
 def _wrapped_directions(k):
     """Unit vectors at the angles 2*pi*j/k for j = 0, ..., k - 1, 0, 1."""
-    angles = TWO_PI * (np.arange(k + 2) % k) / k
+    angles = ray_angles(k)[np.arange(k + 2) % k]
     directions = np.cos(angles), np.sin(angles)
     for array in directions:
         array.setflags(write=False)
@@ -388,11 +396,16 @@ class RadialGrid:
         m, coef_a, coef_b = self._tables.get(base) or self._sector_table(base)
         return sector_q(inverse, m[index], coef_a[index], coef_b[index])
 
-    def _annulus(self, r, low, high):
-        """``(lo, stop)``: the core stop of the smallest radius ``low`` and
-        the reach stop of the largest radius ``high``, at scale ``r``."""
-        stop = self.reach_stop(r * float(high))
-        return self.core_stop(r * float(low)), stop
+    def annulus(self, core_extent, reach_extent):
+        """``(lo, stop)``: :meth:`core_stop` of ``core_extent`` and
+        :meth:`reach_stop` of ``reach_extent``, the grid positions between
+        which q must be evaluated.
+
+        The reach stop is taken first, so when ``core_extent`` is at most
+        ``reach_extent`` the core stop never rebuilds the grid.
+        """
+        stop = self.reach_stop(reach_extent)
+        return self.core_stop(core_extent), stop
 
     def inside_near(self, reference, radii, r, theta):
         """Where an (n, k) batch of shapes near ``reference`` may differ
@@ -412,8 +425,8 @@ class RadialGrid:
         """
         reference = np.asarray(reference, dtype=np.float64)
         radii = np.asarray(radii, dtype=np.float64)
-        lo, stop = self._annulus(r, min(radii.min(), reference.min()),
-                                 max(radii.max(), reference.max()))
+        lo, stop = self.annulus(r * min(radii.min(), reference.min()),
+                                r * max(radii.max(), reference.max()))
         shift, base = split_rotation(theta, self.k)
         inv, inv_ref = (wrapped_inverse(radii, shift),
                         wrapped_inverse(reference, shift))
@@ -461,7 +474,7 @@ class RadialGrid:
         if radii.shape != (self.k,):
             raise ValueError(f"radii shape {radii.shape} does not match "
                              f"grid k={self.k}")
-        lo, stop = self._annulus(r, radii.min(), radii.max())
+        lo, stop = self.annulus(r * radii.min(), r * radii.max())
         shift, base = split_rotation(theta, self.k)
         inside = self.q_values(wrapped_inverse(radii, shift), base,
                                slice(lo, stop)) <= r

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyTruth
-from .geometry import TWO_PI
+from .geometry import ray_angles
 from .raster import union
 from .shape_model import DEFAULT_K, sample_shape_vector
 
@@ -103,7 +103,7 @@ def overlapping_degree(object_truth, other_truths, centroid, k=DEFAULT_K):
     if others.shape != object_truth.shape:
         raise DimensionMismatch(
             f"mask {others.shape} vs {object_truth.shape}")
-    angles = TWO_PI * np.arange(k) / k
+    angles = ray_angles(k)
     x = centroid[0] + radii * np.cos(angles)
     y = centroid[1] + radii * np.sin(angles)
     height, width = object_truth.shape

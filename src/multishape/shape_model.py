@@ -23,7 +23,7 @@ from .errors import (
     EmptyExampleSet,
     RankDeficient,
 )
-from .geometry import TWO_PI, on_foreground
+from .geometry import on_foreground, ray_angles
 from .netpbm import finite_number, write_json
 
 DEFAULT_K = 360
@@ -119,7 +119,7 @@ def sample_shape_vector(mask, centroid, k=DEFAULT_K):
     if not on_foreground(mask, cx, cy):
         raise CentroidOutsideMask(f"centroid ({cx}, {cy}) is not on foreground")
 
-    angles = TWO_PI * np.arange(k) / k
+    angles = ray_angles(k)
     cos, sin = np.cos(angles), np.sin(angles)
     cols = np.flatnonzero(mask.any(axis=0))
     rows = np.flatnonzero(mask.any(axis=1))
@@ -268,12 +268,18 @@ def _float_array(value):
 
 
 def load_model(path):
-    """Load a model serialized by :func:`save_model`."""
-    with open(path, "r", encoding="ascii") as fh:
-        try:
+    """Load a model serialized by :func:`save_model`.
+
+    A file that cannot be read or parsed, or that breaks the schema, raises
+    :class:`DatasetIOError` naming ``path``.
+    """
+    try:
+        with open(path, "r", encoding="ascii") as fh:
             doc = json.load(fh)
-        except ValueError as exc:
-            raise DatasetIOError(f"{path}: invalid model JSON: {exc}") from exc
+    except OSError as exc:
+        raise DatasetIOError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:
+        raise DatasetIOError(f"{path}: invalid model JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DatasetIOError(f"{path}: model JSON must be an object")
     unknown = set(doc) - MODEL_JSON_KEYS

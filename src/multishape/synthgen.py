@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CanvasTooSmall, DatasetIOError, ManifestMismatch
-from .geometry import TWO_PI
+from .geometry import TWO_PI, ray_angles
 from .netpbm import finite_number, read_pgm, write_json, write_pgm
 from .raster import Alignment, rasterize, union
 from .scene import ClumpScene
@@ -84,7 +84,7 @@ def _object_radii(cfg, rng):
     semi_major = base * ecc
     semi_minor = base
 
-    angles = TWO_PI * np.arange(cfg.k) / cfg.k
+    angles = ray_angles(cfg.k)
     rel = angles - orientation
     radial = (semi_major * semi_minor
               / np.hypot(semi_minor * np.cos(rel), semi_major * np.sin(rel)))

@@ -1,7 +1,9 @@
 """Independent brute-force oracles used to check the fast implementations.
 
 Everything here is written as plainly as possible (per-pixel Python loops,
-textbook formulas) and stays independent of the package internals.
+textbook formulas) and stays independent of the package internals.  The one
+exception is :func:`reference_evolve`, which reuses only package pieces that
+have oracles of their own.
 """
 
 import numpy as np
@@ -170,3 +172,158 @@ def brute_force_align(radii, centroid, clump, r_values, theta_values,
     if best is not None:
         return alignment_cls(r=best[1], theta=best[2])
     return alignment_cls(r=fallback[1], theta=fallback[2])
+
+
+def reference_evolve(scene, model, config):
+    """Naive whole-run reference of ``multishape.evolve``: ``(masks, state)``.
+
+    It follows the engine's policy step by step, but every energy is the
+    whole fit rasterized and scored from scratch, every probe is its own
+    full evaluation, and every alignment comes from
+    :func:`brute_force_align`.  Its policy constants come from
+    ``multishape.evolution``; from the package it reuses only
+    ``trust_region_step``, ``Sr1Hessian``, ``synthesize``, ``rasterize``,
+    ``union`` and ``mask_energy``, each checked against its own oracle.
+    """
+    from multishape.evolution import (
+        BOUNDARY_TOL, COEFF_SIGMA_BOX, FD_STEP, GROW_RATIO,
+        INITIAL_TRUST_RADIUS, MAX_TRUST_RADIUS, MIN_TRUST_RADIUS,
+        SHRINK_RATIO, EvolutionState, Sr1Hessian, TraceRow, mask_energy,
+        trust_region_step)
+    from multishape.raster import Alignment, rasterize, union
+    from multishape.shape_model import synthesize
+
+    n, t = scene.n_objects, model.t
+    height, width = scene.clump.shape
+    sqrt_ev = np.sqrt(model.eigenvalues)
+    rs, thetas = config.grid.r_values(), config.grid.theta_values()
+    e_star = config.energy_threshold_fraction * scene.clump_area
+
+    def shape(row):
+        return synthesize(model, row * sqrt_ev)
+
+    def masks_of(c, alignments):
+        return [rasterize(shape(c[i]), scene.centroids[i], alignments[i],
+                          (width, height)) for i in range(n)]
+
+    def energy(c, alignments):
+        return mask_energy(union(masks_of(c, alignments)), scene.clump)
+
+    def search(i, row):
+        return brute_force_align(shape(row), scene.centroids[i], scene.clump,
+                                 rs, thetas, rasterize, Alignment)
+
+    def neighbors(a):
+        r_idx = int(np.argmin(np.abs(rs - a.r)))
+        t_idx = int(np.argmin(np.abs(thetas - a.theta)))
+        out = [Alignment(r=float(rs[j]), theta=a.theta)
+               for j in (r_idx + 1, r_idx - 1) if 0 <= j < len(rs)]
+        return out + [Alignment(r=a.r, theta=float(
+            thetas[(t_idx + step) % len(thetas)])) for step in (1, -1)]
+
+    def probe_table(c, alignments, h):
+        table = np.empty((n, 2 * t), dtype=np.int64)
+        for i in range(n):
+            for j in range(t):
+                for col, sign in ((2 * j, 1.0), (2 * j + 1, -1.0)):
+                    probe = c.copy()
+                    probe[i, j] = c[i, j] + sign * h
+                    table[i, col] = energy(probe, alignments)
+        return table
+
+    def walk(c, alignments, e_cur, table):
+        for step_scale in (FD_STEP, 2.0 * FD_STEP, 4.0 * FD_STEP):
+            if step_scale != FD_STEP:
+                table = probe_table(c, alignments, step_scale)
+            best = int(np.argmin(table))
+            i, col = best // (2 * t), best % (2 * t)
+            if table[i, col] < e_cur:
+                moved, j = c.copy(), col // 2
+                sign = 1.0 if col % 2 == 0 else -1.0
+                moved[i, j] = min(max(c[i, j] + sign * step_scale,
+                                      -COEFF_SIGMA_BOX), COEFF_SIGMA_BOX)
+                return moved, alignments, step_scale
+        for i in range(n):
+            for candidate in neighbors(alignments[i]):
+                moved = list(alignments)
+                moved[i] = candidate
+                if energy(c, moved) < e_cur:
+                    return c, tuple(moved), 0.0
+        return None
+
+    # a fit is (c, alignments, energy); ``version`` counts fit replacements,
+    # which is when the engine recomputes its gradient and may walk again
+    c = np.zeros((n, t))
+    alignments = tuple(search(i, c[i]) for i in range(n))
+    e_cur = energy(c, alignments)
+    version, searched_c = 0, c
+    trace, delta, iteration, halted = [], INITIAL_TRUST_RADIUS, 0, None
+    sr1 = Sr1Hessian(n * t)
+    grad_version = walked_version = None
+    grad_c = g = table = None
+
+    while halted is None and e_cur > e_star \
+            and iteration < config.max_outer_iterations:
+        iteration += 1
+        refreshed = tuple(search(i, c[i])
+                          if not np.array_equal(c[i], searched_c[i])
+                          else alignments[i] for i in range(n))
+        searched_c = c
+        if refreshed != alignments:
+            e_new = energy(c, refreshed)
+            if e_new <= e_cur:
+                alignments, e_cur, version = refreshed, e_new, version + 1
+        if e_cur <= e_star:
+            break
+
+        if grad_version != version:
+            table = probe_table(c, alignments, FD_STEP)
+            g_new = ((table[:, 0::2] - table[:, 1::2])
+                     / (2.0 * FD_STEP)).reshape(-1)
+            if grad_c is not None and not np.array_equal(c, grad_c):
+                sr1.update((c - grad_c).reshape(-1), g_new - g)
+            grad_version, grad_c, g = version, c, g_new
+            if not np.any(g):
+                halted = "zero_gradient"
+                break
+
+        hess = sr1.matrix
+        p = trust_region_step(g, hess, delta)
+        predicted = -float(g @ p + 0.5 * p @ hess @ p)
+        step_norm = float(np.linalg.norm(p))
+        trial_c = np.clip(c + p.reshape(n, t), -COEFF_SIGMA_BOX,
+                          COEFF_SIGMA_BOX)
+        e_trial = energy(trial_c, alignments)
+        if predicted > 0 and e_trial < e_cur:
+            rho = (e_cur - e_trial) / predicted
+            trace.append(TraceRow(iteration, e_trial, delta, step_norm, True))
+            c, e_cur, version = trial_c, e_trial, version + 1
+            if rho > GROW_RATIO and step_norm >= delta - BOUNDARY_TOL:
+                delta = min(2.0 * delta, MAX_TRUST_RADIUS)
+            elif rho < SHRINK_RATIO:
+                delta = max(0.5 * delta, MIN_TRUST_RADIUS)
+            continue
+
+        moved = None
+        if delta <= FD_STEP * (1.0 + 1e-12) and walked_version != version:
+            moved, walked_version = walk(c, alignments, e_cur, table), version
+        if moved is not None:
+            c, alignments, step_scale = moved
+            e_cur, version = energy(c, alignments), version + 1
+            trace.append(TraceRow(iteration, e_cur, delta, step_scale, True))
+            delta = FD_STEP
+            continue
+
+        trace.append(TraceRow(iteration, e_cur, delta, step_norm, False))
+        if delta <= MIN_TRUST_RADIUS * (1.0 + 1e-12):
+            halted = "no_decrease"
+        else:
+            delta = max(0.5 * delta, MIN_TRUST_RADIUS)
+
+    if e_cur <= e_star:
+        halted = "energy_threshold"
+    state = EvolutionState(
+        x=(c * sqrt_ev).reshape(-1), alignments=list(alignments),
+        energy=e_cur, iteration=iteration, trace=trace,
+        halted_reason=halted or "max_iterations")
+    return masks_of(c, alignments), state

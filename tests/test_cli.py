@@ -410,11 +410,13 @@ class TestFail:
 
 
 class TestSegment:
-    def test_missing_model_exit3(self, tmp_path):
-        code = main(["segment", "--model", str(tmp_path / "none.json"),
+    def test_missing_model_exit3(self, tmp_path, capsys):
+        model = str(tmp_path / "none.json")
+        code = main(["segment", "--model", model,
                      "--dataset", str(tmp_path), "--out",
                      str(tmp_path / "o")])
         assert code == 3
+        assert model in capsys.readouterr().err
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_non_positive_jobs_exit2(self, tmp_path, capsys, jobs):

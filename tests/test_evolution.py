@@ -9,7 +9,7 @@ import multishape as ms
 from conftest import disk_family_examples, disk_mask
 from hypothesis import given, settings, strategies as st
 from multishape.cli import main
-from oracles import naive_mask_energy
+from oracles import naive_mask_energy, reference_evolve
 
 
 def manual_model(mean, columns, eigenvalues):
@@ -191,6 +191,20 @@ class TestRevise:
             == [True, False, True]
         assert all(r is f for r, f in zip(realigned.radii, fit.radii))
 
+    def test_clips_to_the_box(self, tiny_model, tiny_dataset):
+        # every fit's coefficients lie in the box, whatever a move asks for
+        scene = tiny_dataset[4]
+        engine = ms.evolution._SceneEngine(scene, tiny_model,
+                                           ms.EvolutionConfig())
+        fit = engine.initial_fit()
+        box = ms.evolution.COEFF_SIGMA_BOX
+        boxed = engine.revise(fit, c=np.full((scene.n_objects, tiny_model.t),
+                                             4.0))
+        assert np.all(boxed.c == box)
+        x = engine.raw_from_normalized(np.full_like(boxed.c, box))
+        assert boxed.energy == ms.energy(scene, tiny_model, x.reshape(-1),
+                                         list(fit.alignments))
+
 
 class TestPlateauWalk:
     def test_alignment_escape(self):
@@ -217,6 +231,51 @@ class TestPlateauWalk:
         assert fit.alignments == aligned.alignments
         assert fit.energy == aligned.energy
         assert np.array_equal(fit.c, off.c)
+
+
+@pytest.fixture(scope="module")
+def k12_toy():
+    """Four scenes of 12-ray objects and a model of their objects."""
+    cfg = ms.GeneratorConfig(seed=11, n_objects=(2, 3),
+                             base_radius=(10.0, 16.0), canvas=(112, 112),
+                             k=12)
+    scenes = ms.generate_batch(cfg, 4)
+    examples = [ms.ShapeExample(scene.scene_id, i,
+                                ms.sample_shape_vector(mask, centroid, 12))
+                for scene in scenes
+                for i, (mask, centroid) in enumerate(zip(scene.truth,
+                                                         scene.centroids))]
+    return scenes, ms.build_model(ms.WeightedExampleSet(examples))
+
+
+class TestReferenceEvolve:
+    """``evolve`` equals the naive whole-run reference, bitwise."""
+
+    # 11 scales x 24 rotations keeps the brute-force searches cheap
+    CFG = ms.EvolutionConfig(grid=ms.GridSearchConfig(
+        r_min=0.5, r_max=1.5, r_step=0.1, theta_count=24))
+
+    def check(self, scene, model):
+        masks, state = ms.evolve(scene, model, self.CFG)
+        ref_masks, ref = reference_evolve(scene, model, self.CFG)
+        assert state.x.tobytes() == ref.x.tobytes()
+        assert state.alignments == ref.alignments
+        assert state.energy == ref.energy
+        assert state.iteration == ref.iteration
+        assert state.trace == ref.trace
+        assert state.halted_reason == ref.halted_reason
+        assert all(np.array_equal(a, b) for a, b in zip(masks, ref_masks))
+
+    @pytest.mark.parametrize("index", range(6))
+    def test_matches_reference(self, tiny_model, tiny_dataset, index):
+        self.check(tiny_dataset[index], tiny_model)
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_matches_reference_at_low_k(self, k12_toy, index):
+        # the probe band's 1/cos(pi/K) widening is 3.5% at K = 12 but 0.1%
+        # at K = 72, where a band without it still matches these runs
+        scenes, model = k12_toy
+        self.check(scenes[index], model)
 
 
 class TestGoldenTrace:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -340,6 +341,12 @@ class TestSerialization:
         assert len(doc["basis"][0]) == small_model.k
         # full float precision survives the round trip
         assert doc["mean"][0] == small_model.mean[0]
+
+    def test_unreadable_path_rejected(self, tmp_path):
+        # a missing file and a directory are the package's I/O error
+        for path in (str(tmp_path / "none.json"), str(tmp_path)):
+            with pytest.raises(ms.DatasetIOError, match=re.escape(path)):
+                ms.load_model(path)
 
     def test_unknown_field_rejected(self, small_model, tmp_path):
         path = tmp_path / "model.json"
