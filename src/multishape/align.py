@@ -49,6 +49,12 @@ and rotations that can matter:
    (:func:`multishape.geometry.area_ceiling`).  Rotations whose ceiling
    does not exceed the best top area cannot win and are skipped; the rest
    are counted exactly, in one batch, over their annulus.
+
+When no candidate fits, the search falls back to the fewest outside
+pixels at the smallest scale.  That count takes only the stop of
+:meth:`multishape.geometry.RadialGrid.annulus` at that scale and starts
+from grid position 0, since the core's pixels count when they lie outside
+the clump.
 """
 
 from __future__ import annotations
@@ -65,6 +71,7 @@ from .geometry import (
     area_ceiling,
     on_foreground,
     reach_distance,
+    shape_radii,
     split_rotation,
 )
 from .raster import Alignment
@@ -285,7 +292,8 @@ class AlignmentSearcher:
         is monotone in the scale.  If no candidate fits inside the clump,
         returns the one with the fewest outside pixels (ties: smaller
         scale, then smaller rotation).  All rotations are evaluated
-        together as rolls of ``radii``.
+        together as rolls of ``radii``, which must pass
+        :func:`multishape.geometry.shape_radii` with the searcher's K.
 
         Three certificates prune the work without changing the result:
 
@@ -300,10 +308,8 @@ class AlignmentSearcher:
           (:func:`multishape.geometry.area_ceiling`) exceeds their best
           area.
         """
-        radii = np.asarray(radii, dtype=np.float64)
-        if radii.size != self.grid.k:
-            raise ValueError(f"radii length {radii.size} != searcher k {self.grid.k}")
-        max_s = float(radii.max())
+        radii = shape_radii(radii, self.grid.k)
+        min_s, max_s = float(radii.min()), float(radii.max())
         rs = self._r_values
         # every q of the search reads this one stack of T rolled shapes
         inverse = (1.0 / radii)[self._roll_index]
@@ -314,14 +320,13 @@ class AlignmentSearcher:
         if top == 0:
             every = np.ones(inverse.shape[0], dtype=bool)
             r0 = np.full(inverse.shape[0], rs[0])
-            stop = self.grid.reach_stop(float(rs[0]) * max_s)
+            _, stop = self.grid.annulus(rs[0] * min_s, rs[0] * max_s)
             background = ~self._clump[self.grid.flat_index[:stop]]
             outside = self._inside_counts(inverse, every, r0, 0, stop,
                                           background)
             best = np.argmin(outside)
             return Alignment(r=float(rs[0]),
                              theta=float(self._theta_values[best]))
-        min_s = float(radii.min())
         # infeasible rotations get rs[0]; they are never counted
         r = rs[np.maximum(n_feasible, 1) - 1]
         counted = n_feasible == top
@@ -343,6 +348,6 @@ class AlignmentSearcher:
 
 def align(radii, centroid, clump, config=None):
     """One-shot alignment search; see :class:`AlignmentSearcher`."""
-    radii = np.asarray(radii, dtype=np.float64)
+    radii = shape_radii(radii)
     return AlignmentSearcher(centroid, clump, radii.size,
                              config=config).search(radii)

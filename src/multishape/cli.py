@@ -115,13 +115,13 @@ def cmd_train(args):
     selected = _select_fold(scenes, args.fold, args.folds, args.invert)
     if not selected:
         raise ConfigError("fold selection left no training scenes")
-    pairs, example_set = _sample_examples(selected, cfg.k)
+    pairs, example_set = _sample_examples(selected, cfg.generator.k)
 
     history = []
     if args.learn_importance:
         _, model, history = learn(pairs, cfg.learning)
     else:
-        model = build_model(example_set, cfg.variance_threshold)
+        model = build_model(example_set, cfg.learning.variance_threshold)
 
     save_model(model, args.out)
     manifest = {
@@ -134,9 +134,9 @@ def cmd_train(args):
         "fold": args.fold,
         "folds": args.folds,
         "invert": bool(args.invert),
-        "k": cfg.k,
+        "k": cfg.generator.k,
         "t": model.t,
-        "variance_threshold": cfg.variance_threshold,
+        "variance_threshold": cfg.learning.variance_threshold,
         "learned_importance": bool(args.learn_importance),
     }
     write_json(f"{args.out}.manifest.json", manifest)
@@ -214,9 +214,9 @@ def cmd_segment(args):
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = _config_from_args(args)
     model = load_model(args.model)
-    if model.k != cfg.k:
-        raise ConfigError(
-            f"model K={model.k} does not match configured K={cfg.k}")
+    if model.k != cfg.generator.k:
+        raise ConfigError(f"model K={model.k} does not match configured "
+                          f"K={cfg.generator.k}")
     scenes = scene_dirs(args.dataset)
     os.makedirs(args.out, exist_ok=True)
 
@@ -285,7 +285,7 @@ def cmd_evaluate(args):
             **{name: getattr(pix, name) for name in RATES},
             "objects": [object_report(j, pred, truth,
                                       scene.truth[:j] + scene.truth[j + 1:],
-                                      scene.centroids[j], cfg.k)
+                                      scene.centroids[j], cfg.generator.k)
                         for j, (pred, truth)
                         in enumerate(zip(predicted, scene.truth))],
         })

@@ -21,9 +21,13 @@ from .synthgen import GeneratorConfig
 
 SEED_ENV_VAR = "MULTISHAPE_SEED"
 
-# top-level keys shared by several sections; each takes its default from
-# the section dataclass that consumes it
-_SHARED = ("k", "variance_threshold", "energy_threshold_fraction")
+# top-level keys that set a field of the sections; each maps to the default
+# of the section dataclass that consumes it
+_SHARED = {
+    "k": GeneratorConfig.k,
+    "variance_threshold": LearningConfig.variance_threshold,
+    "energy_threshold_fraction": EvolutionConfig.energy_threshold_fraction,
+}
 
 # Most entries (grid.theta_count times k) of a search's rotation plan.
 MAX_ROTATION_PLAN = 2**20
@@ -55,11 +59,12 @@ def _flatten(doc, prefix=""):
 
 @dataclass
 class RunConfig:
-    """Validated settings for the whole pipeline."""
+    """Validated settings for the whole pipeline.
 
-    k: int = GeneratorConfig.k
-    variance_threshold: float = LearningConfig.variance_threshold
-    energy_threshold_fraction: float = EvolutionConfig.energy_threshold_fraction
+    Each setting is stored once, in its section; the top-level keys of
+    ``_SHARED`` set fields of the sections.
+    """
+
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
     evolution: EvolutionConfig = field(default_factory=EvolutionConfig)
     learning: LearningConfig = field(default_factory=LearningConfig)
@@ -99,8 +104,7 @@ class RunConfig:
         if merged["grid.theta_count"] * merged["k"] > MAX_ROTATION_PLAN:
             raise ConfigError(f"grid.theta_count times k must be at most "
                               f"{MAX_ROTATION_PLAN}")
-        return cls(generator=generator, evolution=evolution,
-                   learning=learning, **{key: merged[key] for key in _SHARED})
+        return cls(generator=generator, evolution=evolution, learning=learning)
 
     @classmethod
     def load(cls, path=None, overrides=None):
@@ -146,12 +150,12 @@ def _defaults(prefix, config):
     return {f"{prefix}{f.name}": getattr(config, f.name)
             for f in fields(config)
             if not is_dataclass(getattr(config, f.name))
-            and not (prefix and f.name in _SHARED)}
+            and f.name not in _SHARED}
 
 
 # every key's default and coercion type come from the config dataclasses
 _SCHEMA = {
-    **_defaults("", RunConfig()),
+    **_SHARED,
     **_defaults("generator.", GeneratorConfig()),
     **_defaults("evolution.", EvolutionConfig()),
     **_defaults("grid.", GridSearchConfig()),

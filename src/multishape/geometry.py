@@ -67,11 +67,11 @@ lies between d and d / cos(pi/K).  Hence
 so pixels within r * min(radii) * cos(pi/K) are inside at every rotation
 (:func:`core_distance`).  Both pixel orders skip the certified core: they
 evaluate q only on the annulus between the core and the reach
-r * max(radii) (:func:`reach_distance`).  On a grid that pair of stops is
-one query, :meth:`RadialGrid.annulus`, used by masks, probes and the
-alignment search alike.  The same sum bounds how far q moves when the
-radii change: two shapes whose inverse radii differ by at most delta give
-any pixel q values at most delta * d / cos(pi/K) apart, so
+r * max(radii) (:func:`reach_distance`).  On a grid both stops come from
+one query, :meth:`RadialGrid.annulus`, the grid's only stop query, used by
+masks, probes and the alignment search alike.  The same sum bounds how far
+q moves when the radii change: two shapes whose inverse radii differ by at
+most delta give any pixel q values at most delta * d / cos(pi/K) apart, so
 a batch of shapes near a reference one is evaluated only on the reference's
 boundary band (:meth:`RadialGrid.inside_near`).  Every bound is widened by
 BOUND_MARGIN, which suffices: rounding (~1e-14 relative, times
@@ -92,6 +92,13 @@ So a shape at scale r holds at most
 pixels, with rho = sqrt(2)/2, A1 and P1 the area and perimeter of the
 shape at scale 1, and theta_plus the sum of its convex vertices' exterior
 angles.  BOUND_MARGIN widens rho.
+
+Every bound above assumes K >= 3 finite, positive radii.  The package's one
+check of that rule is :func:`shape_radii`, made where radii enter from
+outside (:func:`multishape.rasterize`, :func:`multishape.align`,
+:meth:`multishape.AlignmentSearcher.search`, :meth:`RadialGrid.mask` and
+the training examples of :func:`multishape.importance.dataset_examples`);
+the helpers they call take the checked vector as it is.
 """
 
 from __future__ import annotations
@@ -126,6 +133,26 @@ OFFSET_QUANTUM = 2.0 ** -36
 def ray_angles(k):
     """The K ray angles 2*pi*j/K of a shape vector, j = 0, ..., K - 1."""
     return TWO_PI * np.arange(k) / k
+
+
+def shape_radii(radii, k=None):
+    """``radii`` as a float64 shape vector, checked.
+
+    Raises ``ValueError`` unless the radii are a vector of at least 3
+    values (exactly ``k`` when it is given), all finite and positive.
+    """
+    radii = np.asarray(radii, dtype=np.float64)
+    if radii.ndim != 1 or radii.size < 3:
+        raise ValueError("radii must be a vector of at least 3 values, "
+                         f"got shape {radii.shape}")
+    if k is not None and radii.size != k:
+        raise ValueError(f"radii must be a vector of K={k} values")
+    # two reductions decide; a NaN makes the minimum NaN
+    if not 0 < radii.min() <= radii.max() < np.inf:
+        if not np.all(np.isfinite(radii)):
+            raise ValueError("radii must be finite")
+        raise ValueError("radii must be strictly positive")
+    return radii
 
 
 def split_rotation(theta, k):
@@ -271,7 +298,6 @@ def area_ceiling(radii, r):
     2`` with rho = sqrt(2)/2 + BOUND_MARGIN, whose margin also covers
     EDGE_CLOSURE and the rounding of q and of this sum.
     """
-    radii = np.asarray(radii, dtype=np.float64)
     k = radii.size
     cos, sin = _wrapped_directions(k)
     ring = np.concatenate([radii, radii[:2]])
@@ -301,7 +327,6 @@ def box_mask(center, dims, radii, r, theta):
     """
     width, height = int(dims[0]), int(dims[1])
     center = (float(center[0]), float(center[1]))
-    radii = np.asarray(radii, dtype=np.float64)
     k = radii.size
     reach = reach_distance(r * float(radii.max()))
     core = core_distance(r * float(radii.min()), k)
@@ -329,11 +354,11 @@ class RadialGrid:
     Holds every canvas pixel whose center lies within ``reach`` of the
     center, ordered by increasing distance (ties by flat index).  The grid
     is built at ``reach_distance(extent)``.  Every query past the reach
-    (:meth:`reach_stop`, :meth:`core_stop`, or an explicit :meth:`cover`)
-    first rebuilds it at the larger of what it needs and ``GROWTH`` times
-    the reach, dropping the cached tables.  The order and the elementwise
-    tables make every build a bitwise-identical prefix of the grid built at
-    full extent.  Once the whole canvas is held, ``reach`` is infinite.
+    (:meth:`annulus`, or an explicit :meth:`cover`) first rebuilds it at
+    the larger of what it needs and ``GROWTH`` times the reach, dropping
+    the cached tables.  The order and the elementwise tables make every
+    build a bitwise-identical prefix of the grid built at full extent.
+    Once the whole canvas is held, ``reach`` is infinite.
 
     The tables are shape independent: one grid serves any radii vector of
     length ``k`` at any rotation.  They are built once per fractional
@@ -397,15 +422,22 @@ class RadialGrid:
         return sector_q(inverse, m[index], coef_a[index], coef_b[index])
 
     def annulus(self, core_extent, reach_extent):
-        """``(lo, stop)``: :meth:`core_stop` of ``core_extent`` and
-        :meth:`reach_stop` of ``reach_extent``, the grid positions between
-        which q must be evaluated.
+        """``(lo, stop)``, the grid positions between which q must be
+        evaluated for shapes with scale times min(radii) at least
+        ``core_extent`` and scale times max(radii) at most ``reach_extent``.
 
-        The reach stop is taken first, so when ``core_extent`` is at most
-        ``reach_extent`` the core stop never rebuilds the grid.
+        The first ``lo`` pixels lie within ``core_distance(core_extent)``
+        and are inside at every rotation; the pixels from ``stop`` on lie
+        past ``reach_distance(reach_extent)`` and are outside, as
+        BOUND_MARGIN exceeds the rounding and closure of q.  The grid is
+        grown to the reach first.  Requires ``core_extent <=
+        reach_extent``, so the core lies within the reach.
         """
-        stop = self.reach_stop(reach_extent)
-        return self.core_stop(core_extent), stop
+        reach = reach_distance(reach_extent)
+        self.cover(reach)
+        core = core_distance(core_extent, self.k)
+        lo, stop = np.searchsorted(self.dist, (core, reach), side="right")
+        return int(lo), int(stop)
 
     def inside_near(self, reference, radii, r, theta):
         """Where an (n, k) batch of shapes near ``reference`` may differ
@@ -421,10 +453,9 @@ class RadialGrid:
         reference's (see the module docstring), so a pixel whose reference
         q is farther than that from ``r`` is on the reference's side for
         every row.  (1 - EDGE_CLOSURE) of the largest inverse radius widens
-        delta past the rounding of q.
+        delta past the rounding of q.  The radii are float arrays from
+        :func:`multishape.synthesize` and are not checked.
         """
-        reference = np.asarray(reference, dtype=np.float64)
-        radii = np.asarray(radii, dtype=np.float64)
         lo, stop = self.annulus(r * min(radii.min(), reference.min()),
                                 r * max(radii.max(), reference.max()))
         shift, base = split_rotation(theta, self.k)
@@ -439,41 +470,16 @@ class RadialGrid:
         band += lo
         return band, self.q_values(inv, base, band) <= r
 
-    def reach_stop(self, extent):
-        """Number of grid pixels within ``reach_distance(extent)``.
-
-        ``extent`` is the scale times ``max(radii)``; every later pixel has
-        q above the scale, since BOUND_MARGIN exceeds the rounding and
-        closure of q.
-        """
-        reach = reach_distance(extent)
-        self.cover(reach)
-        return int(np.searchsorted(self.dist, reach, side="right"))
-
-    def core_stop(self, extent):
-        """Number of leading grid pixels inside at every rotation.
-
-        ``extent`` is the scale times ``min(radii)``.  Every pixel within
-        ``extent * cos(pi/K)`` satisfies q <= scale whatever the rotation,
-        so the first ``core_stop`` pixels are inside without evaluation.
-        """
-        core = core_distance(extent, self.k)
-        self.cover(core)
-        return int(np.searchsorted(self.dist, core, side="right"))
-
     def mask(self, radii, r, theta):
         """Flat canvas mask of the (k,) shape ``radii`` at scale ``r``,
         rotation ``theta``.
 
-        Pixels beyond ``reach_distance(r * max(radii))`` are never inside
-        and the first ``core_stop(r * min(radii))`` pixels always are, as
-        BOUND_MARGIN exceeds the rounding and closure of q, so only the
-        annulus between is tested, by the closed rule q <= r.
+        Only the :meth:`annulus` of ``r * min(radii)`` and ``r *
+        max(radii)`` is tested, by the closed rule q <= r; the pixels
+        before it are inside.  ``radii`` must pass :func:`shape_radii`
+        with ``k``.
         """
-        radii = np.asarray(radii, dtype=np.float64)
-        if radii.shape != (self.k,):
-            raise ValueError(f"radii shape {radii.shape} does not match "
-                             f"grid k={self.k}")
+        radii = shape_radii(radii, self.k)
         lo, stop = self.annulus(r * radii.min(), r * radii.max())
         shift, base = split_rotation(theta, self.k)
         inside = self.q_values(wrapped_inverse(radii, shift), base,

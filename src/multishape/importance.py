@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyDataset
 from .evolution import EvolutionConfig, evolve, scene_searchers
+from .geometry import shape_radii
 from .shape_model import (
     DEFAULT_VARIANCE_THRESHOLD,
     ShapeExample,
@@ -77,6 +78,8 @@ class WeightUpdate:
 def dataset_examples(dataset, step=None):
     """Flatten pairs into a weighted example set in manifest order.
 
+    Each shape must pass :func:`multishape.geometry.shape_radii`.
+
     ``step`` is accepted and unused; it goes once the benchmark's callers
     stop passing it (ROADMAP item 2).
     """
@@ -86,7 +89,7 @@ def dataset_examples(dataset, step=None):
             examples.append(ShapeExample(
                 scene_id=pair.scene.scene_id,
                 object_id=i,
-                radii=np.asarray(radii, dtype=np.float64),
+                radii=shape_radii(radii),
             ))
     return WeightedExampleSet(examples=examples)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput
-from .geometry import box_mask
+from .geometry import box_mask, shape_radii
 
 
 @dataclass(frozen=True)
@@ -42,14 +42,7 @@ class Alignment:
 
 def rasterize(radii, centroid, alignment, dims):
     """Fill the radial shape at the centroid into a (height, width) mask."""
-    radii = np.asarray(radii, dtype=np.float64)
-    if radii.ndim != 1 or radii.size < 3:
-        raise ValueError("radii must be a vector of at least 3 values, "
-                         f"got shape {radii.shape}")
-    if not np.all(np.isfinite(radii)):
-        raise ValueError("radii must be finite")
-    if np.any(radii <= 0):
-        raise ValueError("radii must be strictly positive")
+    radii = shape_radii(radii)
     if not np.all(np.isfinite(centroid)):
         raise ValueError(f"centroid must be finite, got {centroid}")
     return box_mask(centroid, dims, radii, alignment.r, alignment.theta)

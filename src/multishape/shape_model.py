@@ -199,7 +199,6 @@ def build_model(example_set, variance_threshold=DEFAULT_VARIANCE_THRESHOLD):
     order = np.argsort(eigvals)[::-1]
     eigvals = eigvals[order]
     eigvecs = eigvecs[:, order]
-    eigvals[(eigvals < 0.0) & (eigvals >= -1e-10)] = 0.0
     positive = eigvals > 1e-12
     if not positive.any():
         raise RankDeficient("all examples are identical; covariance has no rank")

@@ -198,8 +198,9 @@ def read_manifest(scene_dir):
     """``(centroids, dims, truth_count, scene_id)`` of a scene.json, checked.
 
     The scene_id defaults to the directory's name.  Every problem is a
-    :class:`DatasetIOError`, among them a scene with no centroid and one
-    past ``MAX_SCENE_PIXELS``, found before any mask is read.
+    :class:`DatasetIOError`, among them a scene with no centroid, one past
+    ``MAX_SCENE_PIXELS`` and one with a side past ``MAX_CANVAS_SIDE``,
+    found before any mask is read.
     """
     entry = os.path.basename(scene_dir)
     manifest_path = os.path.join(scene_dir, "scene.json")
@@ -228,6 +229,10 @@ def read_manifest(scene_dir):
         raise DatasetIOError(
             f"{manifest_path}: {len(centroids)} objects times dims "
             f"{list(dims)} pass the ceiling of {MAX_SCENE_PIXELS} pixels")
+    if any(side > MAX_CANVAS_SIDE for side in dims):
+        raise DatasetIOError(
+            f"{manifest_path}: dims {list(dims)} pass the ceiling of "
+            f"{MAX_CANVAS_SIDE} pixels per side")
     if truth_count and truth_count != len(centroids):
         raise ManifestMismatch(
             f"{manifest_path}: {len(centroids)} centroids but "

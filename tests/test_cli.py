@@ -10,7 +10,7 @@ import pytest
 import multishape as ms
 import multishape.cli
 from multishape.cli import _fail, main
-from multishape.synthgen import MAX_SCENE_PIXELS
+from multishape.synthgen import MAX_CANVAS_SIDE, MAX_SCENE_PIXELS
 
 SMALL_ARGS = [
     "--generator.n_objects", "2,2",
@@ -540,8 +540,10 @@ class TestSegment:
         assert err.startswith("error:io:") and "'scene_0000'" in err
         assert not out.exists()
 
-    def test_scene_past_the_pixel_ceiling_fails_alone(self, tmp_path,
-                                                      capsys):
+    @staticmethod
+    def segment_edited_manifest(tmp_path, capsys, **fields):
+        """``(exit code, stderr, halt reasons)`` of ``segment`` on two
+        scenes, the second with ``fields`` replaced in its scene.json."""
         data = tmp_path / "data"
         model = tmp_path / "m.json"
         assert main(["generate", "--out", str(data), "--count", "2",
@@ -550,18 +552,33 @@ class TestSegment:
                     + SMALL_ARGS) == 0
         path = data / "scene_0001" / "scene.json"
         doc = json.loads(path.read_text())
-        path.write_text(json.dumps({**doc, "dims": [MAX_SCENE_PIXELS, 1]}))
+        path.write_text(json.dumps({**doc, **fields}))
         capsys.readouterr()
         out = tmp_path / "seg"
         code = main(["segment", "--model", str(model), "--dataset", str(data),
                      "--out", str(out)] + SMALL_ARGS)
-        assert code == 3
         err = capsys.readouterr().err
+        summary = json.loads((out / "segment_summary.json").read_text())
+        return code, err, [s["halted_reason"] for s in summary["scenes"]]
+
+    def test_scene_past_the_pixel_ceiling_fails_alone(self, tmp_path,
+                                                      capsys):
+        code, err, halts = self.segment_edited_manifest(
+            tmp_path, capsys, dims=[MAX_SCENE_PIXELS, 1])
+        assert code == 3
         # the ceiling, not the dims mismatch with clump.pgm, is reported
         assert err.startswith("error:io:") and "scene.json" in err
         assert str(MAX_SCENE_PIXELS) in err
-        summary = json.loads((out / "segment_summary.json").read_text())
-        halts = [s["halted_reason"] for s in summary["scenes"]]
+        assert halts[0] != "error" and halts[1] == "error"
+
+    def test_scene_past_the_side_ceiling_fails_alone(self, tmp_path, capsys):
+        code, err, halts = self.segment_edited_manifest(
+            tmp_path, capsys, dims=[MAX_CANVAS_SIDE + 1, 6],
+            centroids=[[1.0, 1.0]], truth_count=0)
+        assert code == 3
+        # the side ceiling, not the dims mismatch with clump.pgm
+        assert err.startswith("error:io:") and "scene.json" in err
+        assert str(MAX_CANVAS_SIDE) in err
         assert halts[0] != "error" and halts[1] == "error"
 
     def test_jobs_capped_at_scene_count(self, tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -16,14 +17,23 @@ def no_env_seed(monkeypatch):
     monkeypatch.delenv("MULTISHAPE_SEED", raising=False)
 
 
+# the section field each top-level key sets
+TOP_LEVEL = {
+    "k": "generator.k",
+    "variance_threshold": "learning.variance_threshold",
+    "energy_threshold_fraction": "evolution.energy_threshold_fraction",
+}
+
+
 def resolved(cfg, key):
     """The config field a dotted key sets."""
+    key = TOP_LEVEL.get(key, key)
     if key == "learning.max_outer_iterations":
         return cfg.learning.evolution.max_outer_iterations
     section, _, name = key.rpartition(".")
     if section == "grid":
         return getattr(cfg.evolution.grid, name)
-    return getattr(getattr(cfg, section) if section else cfg, name)
+    return getattr(getattr(cfg, section), name)
 
 
 def other_value(default):
@@ -48,6 +58,9 @@ def test_defaults_come_from_dataclasses():
     assert cfg.evolution == ms.EvolutionConfig()
     assert cfg.evolution.grid == ms.GridSearchConfig()
     assert cfg.learning == ms.LearningConfig()
+    # each setting is stored once, in its section
+    assert [f.name for f in dataclasses.fields(RunConfig)] == [
+        "generator", "evolution", "learning"]
 
 
 @pytest.mark.parametrize("key", schema_keys())
@@ -99,8 +112,9 @@ def test_hostile_values_return_or_config_error(key):
 
 def test_whole_json_floats_reach_integer_keys():
     cfg = RunConfig.from_values({"k": 72.0, "generator.canvas": [256.0, 200]})
-    assert cfg.k == 72 and cfg.generator.canvas == (256, 200)
-    assert type(cfg.k) is int and type(cfg.generator.canvas[0]) is int
+    assert cfg.generator.k == 72 and cfg.generator.canvas == (256, 200)
+    assert type(cfg.generator.k) is int
+    assert type(cfg.generator.canvas[0]) is int
 
 
 @pytest.mark.parametrize("make, values", [

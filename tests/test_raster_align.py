@@ -1,3 +1,9 @@
+import json
+import os
+import re
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -116,6 +122,53 @@ def canvas_coordinate(size):
                      st.integers(-3, size + 3).map(lambda i: i + 0.5))
 
 
+BAD_RADII = [
+    ([4.0, np.nan, 4.0, 4.0], "finite"),
+    ([4.0, np.inf, 4.0, 4.0], "finite"),
+    ([4.0, -np.inf, 4.0, 4.0], "finite"),
+    (np.full((2, 4), 4.0), "vector"),
+    ([4.0, 4.0], "at least 3"),
+    (4.0, "vector"),
+    ([4.0, 0.0, 4.0], "positive"),
+    ([4.0, -1.0, 4.0], "positive"),
+]
+
+# every entry point that takes radii from outside checks them
+SHAPE_DOORS = ("rasterize", "align", "search", "mask", "examples")
+
+
+def call_shape_door(door, radii):
+    """Pass ``radii`` through one entry point.  The search and the grid
+    mask are built for one K: the length of a vector of at least 3 radii,
+    else 4."""
+    shape = np.shape(radii)
+    k = shape[0] if len(shape) == 1 and shape[0] >= 3 else 4
+    centroid = (8.0, 8.0)
+    clump = disk_mask((16, 16), centroid, 6.0)
+    if door == "rasterize":
+        return ms.rasterize(radii, centroid, ms.Alignment(), (16, 16))
+    if door == "align":
+        return ms.align(radii, centroid, clump)
+    if door == "search":
+        return ms.AlignmentSearcher(centroid, clump, k).search(radii)
+    if door == "mask":
+        grid = ms.geometry.RadialGrid(centroid, (16, 16), k, 4.0)
+        return grid.mask(radii, 1.0, 0.0)
+    pair = ms.TrainingPair(ms.ClumpScene(clump, [centroid]), [radii])
+    return ms.importance.dataset_examples([pair])
+
+
+def bad_radii_cases():
+    """Each bad input at each entry point; the rasterize cases keep the ids
+    pytest gives the inputs alone."""
+    for door in SHAPE_DOORS:
+        prefix = "" if door == "rasterize" else f"{door}-"
+        for i, (radii, problem) in enumerate(BAD_RADII):
+            name = repr(radii) if np.ndim(radii) == 0 else f"radii{i}"
+            yield pytest.param(door, radii, problem,
+                               id=f"{prefix}{name}-{problem}")
+
+
 class TestBoxRaster:
     """The one-shot box fill is the sorted grid's mask, bitwise."""
 
@@ -174,19 +227,23 @@ class TestBoxRaster:
         with pytest.raises(ValueError, match="canvas dims must be positive"):
             ms.geometry.RadialGrid((8.0, 8.0), dims, 4, 4.0)
 
-    @pytest.mark.parametrize("radii, problem", [
-        ([4.0, np.nan, 4.0, 4.0], "finite"),
-        ([4.0, np.inf, 4.0, 4.0], "finite"),
-        ([4.0, -np.inf, 4.0, 4.0], "finite"),
-        (np.full((2, 4), 4.0), "vector"),
-        ([4.0, 4.0], "at least 3"),
-        (4.0, "vector"),
-        ([4.0, 0.0, 4.0], "positive"),
-        ([4.0, -1.0, 4.0], "positive"),
-    ])
-    def test_bad_radii_named(self, radii, problem):
+    @pytest.mark.parametrize("door, radii, problem", bad_radii_cases())
+    def test_bad_radii_named(self, door, radii, problem):
+        if door in ("align", "search") and np.isnan(radii).any():
+            # a search over NaN radii can loop forever in its background
+            # scan, so it runs in a child process with a timeout
+            code = ("import json, sys, numpy as np, test_raster_align as t\n"
+                    "t.call_shape_door(sys.argv[1], "
+                    "np.array(json.loads(sys.argv[2])))")
+            child = subprocess.run(
+                [sys.executable, "-c", code, door,
+                 json.dumps(np.asarray(radii).tolist())],
+                capture_output=True, text=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+            assert re.search(f"ValueError: .*{problem}", child.stderr)
+            return
         with pytest.raises(ValueError, match=problem):
-            ms.rasterize(radii, (8.0, 8.0), ms.Alignment(), (16, 16))
+            call_shape_door(door, radii)
 
     @pytest.mark.parametrize("centroid", [(np.nan, 8.0), (8.0, np.inf),
                                           (-np.inf, 8.0)])
@@ -410,7 +467,7 @@ class TestSearchBounds:
         config = ms.GridSearchConfig(theta_count=theta_count)
         for radii in bound_radii(k):
             for r in config.r_values():
-                core = grid.core_stop(r * radii.min())
+                core, _ = grid.annulus(r * radii.min(), r * radii.max())
                 assert core > 0
                 for theta in config.theta_values():
                     q = grid_q(grid, radii, theta, slice(0, core))
@@ -426,8 +483,7 @@ class TestSearchBounds:
         for radii in bound_radii(k):
             for r in config.r_values()[::8]:
                 for theta in config.theta_values():
-                    lo = grid.core_stop(r * radii.min())
-                    stop = grid.reach_stop(r * radii.max())
+                    lo, stop = grid.annulus(r * radii.min(), r * radii.max())
                     full = grid_q(grid, radii, theta)[:stop] <= r
                     assert 0 < lo <= stop
                     assert np.all(full[:lo]), f"r={r} theta={theta}"
@@ -473,16 +529,20 @@ class TestGridGrowth:
         for base in bases[:2]:
             small._sector_table(base)
         for extent in (3.0, 4.5, 11.0, 30.0, 90.0):
-            assert small.reach_stop(extent) == full.reach_stop(extent)
+            assert small.annulus(extent, extent) == full.annulus(extent,
+                                                                 extent)
             assert_prefix(small, full, bases)
         assert small.reach == np.inf and small.size == full.size
 
     @pytest.mark.parametrize("center", GROWTH_CENTERS)
     @pytest.mark.parametrize("k", GROWTH_KS)
     def test_core_stop_grows_first(self, center, k):
+        """The annulus's core stop is taken on the grown grid: its reach
+        covers the core."""
         small, full = grid_pair(center, k)
         for extent in (5.0, 17.5, 40.0):
-            assert small.core_stop(extent) == full.core_stop(extent)
+            assert small.annulus(extent, 1.25 * extent) == full.annulus(
+                extent, 1.25 * extent)
         assert_prefix(small, full, [0.0])
 
     @pytest.mark.parametrize("center", GROWTH_CENTERS)

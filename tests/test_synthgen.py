@@ -146,6 +146,24 @@ class TestDatasetIO:
         assert "scene.json" in str(err.value)
         assert str(MAX_SCENE_PIXELS) in str(err.value)
 
+    def test_scene_past_the_side_ceiling(self, tmp_path):
+        cfg = ms.GeneratorConfig(seed=4, **SMALL)
+        ms.export_dataset([ms.generate_scene(cfg, 0)], tmp_path)
+        scene_dir = tmp_path / "scene_0000"
+        path = scene_dir / "scene.json"
+        # one object on a canvas one pixel wider than the side ceiling, far
+        # below the pixel ceiling, with a clump.pgm of those dims
+        dims = [MAX_CANVAS_SIDE + 1, 6]
+        path.write_text(json.dumps({**json.loads(path.read_text()),
+                                    "dims": dims, "truth_count": 0,
+                                    "centroids": [[0.5, 0.5]]}))
+        ms.write_pgm(scene_dir / "clump.pgm",
+                     np.ones(dims[::-1], dtype=bool))
+        with pytest.raises(ms.DatasetIOError) as err:
+            ms.import_dataset(tmp_path)
+        assert "scene.json" in str(err.value)
+        assert str(MAX_CANVAS_SIDE) in str(err.value)
+
     def test_missing_clump_named(self, tmp_path):
         cfg = ms.GeneratorConfig(seed=4, **SMALL)
         ms.export_dataset([ms.generate_scene(cfg, 0)], tmp_path)
