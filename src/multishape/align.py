@@ -74,7 +74,7 @@ from .geometry import (
     shape_radii,
     split_rotation,
 )
-from .raster import Alignment
+from .raster import Alignment, as_mask
 
 # Largest pixel block evaluated for all rotations at once; bounds the
 # (rotations x pixels) temporaries of a search.
@@ -147,7 +147,7 @@ class AlignmentSearcher:
 
     def __init__(self, centroid, clump, k, config=None):
         self.config = config or GridSearchConfig()
-        clump = np.asarray(clump, dtype=bool)
+        clump = as_mask(clump)
         height, width = clump.shape
         cx, cy = float(centroid[0]), float(centroid[1])
         if not on_foreground(clump, cx, cy):

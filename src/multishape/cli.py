@@ -48,6 +48,9 @@ OVERLAY_PALETTE = (
 CLUMP_GRAY = 96
 # pixel rates in report and CSV column order
 RATES = ("tpr", "tnr", "fpr", "fnr")
+# the errors a command reports with a config or I/O exit code; in segment
+# they fail only the scene that raised them
+HANDLED_ERRORS = (MultishapeError, ValueError, OSError)
 
 
 def _fail(exc, prefix=""):
@@ -165,16 +168,16 @@ def _overlay_image(scene, masks):
 
 
 def _segment_scene(scene_dir, model, evolution_config, out_dir):
-    """Load and segment one scene; a package error fails only this scene.
+    """Load and segment one scene; a handled error fails only this scene.
 
-    Returns ``(summary, error)``, where ``error`` is the caught
-    :class:`MultishapeError` or None.
+    Returns ``(summary, error)``, where ``error`` is the caught member of
+    ``HANDLED_ERRORS`` or None.
     """
     try:
         scene = import_scene(scene_dir)
         return _write_segmentation(scene, model, evolution_config,
                                    out_dir), None
-    except MultishapeError as exc:
+    except HANDLED_ERRORS as exc:
         summary = {"scene_id": os.path.basename(scene_dir),
                    "halted_reason": "error", "error": str(exc)}
         return summary, exc
@@ -382,7 +385,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MultishapeError, ValueError, OSError) as exc:
+    except HANDLED_ERRORS as exc:
         return _fail(exc)
     except Exception as exc:  # pragma: no cover - defensive
         print(f"error:internal: {exc}", file=sys.stderr)

@@ -48,7 +48,7 @@ import numpy as np
 
 from .align import AlignmentSearcher, GridSearchConfig
 from .errors import DimensionMismatch, ZeroGradient
-from .raster import rasterize, union
+from .raster import as_mask, rasterize, union
 from .shape_model import COEFF_SIGMA_BOX, synthesize
 
 BOUNDARY_TOL = 1e-9
@@ -102,11 +102,8 @@ class EvolutionState:
 
 def mask_energy(mask_union, clump):
     """Sum of squared pixel differences between two binary masks."""
-    mask_union = np.asarray(mask_union, dtype=bool)
-    clump = np.asarray(clump, dtype=bool)
-    if mask_union.shape != clump.shape:
-        raise DimensionMismatch(f"{mask_union.shape} vs {clump.shape}")
-    return int(np.count_nonzero(mask_union ^ clump))
+    clump = as_mask(clump)
+    return int(np.count_nonzero(as_mask(mask_union, clump) ^ clump))
 
 
 def energy(scene, model, x, alignments):
@@ -273,7 +270,9 @@ class _SceneEngine:
         return self.searchers[i].grid.mask(radii, alignment.r, alignment.theta)
 
     def total_energy(self, masks):
-        return mask_energy(union(masks), self.bc)
+        # (height, width) views of the flat masks: no copy is made
+        views = [m.reshape(self.scene.clump.shape) for m in masks]
+        return mask_energy(union(views), self.scene.clump)
 
     def raw_from_normalized(self, c):
         """Raw coefficients of normalized ones, row by row."""

@@ -93,8 +93,9 @@ pixels, with rho = sqrt(2)/2, A1 and P1 the area and perimeter of the
 shape at scale 1, and theta_plus the sum of its convex vertices' exterior
 angles.  BOUND_MARGIN widens rho.
 
-Every bound above assumes K >= 3 finite, positive radii.  The package's one
-check of that rule is :func:`shape_radii`, made where radii enter from
+Every bound above assumes K >= 3 finite radii of at least MIN_RADIUS, the
+floor below which a term A / r of q overflows.  The package's one check of
+that rule is :func:`shape_radii`, made where radii enter from
 outside (:func:`multishape.rasterize`, :func:`multishape.align`,
 :meth:`multishape.AlignmentSearcher.search`, :meth:`RadialGrid.mask` and
 the training examples of :func:`multishape.importance.dataset_examples`);
@@ -129,6 +130,14 @@ GROWTH = 1.25
 # computed in floating point, lands on the same multiple for K up to ~10^4.
 OFFSET_QUANTUM = 2.0 ** -36
 
+# Smallest radius of a shape vector.  Each term A / r of q must stay finite:
+# on canvases up to 10^4 px a side (pixel distances d up to 1.42e4 from a
+# center on the canvas) and for K up to 10^4, A <= d / sin(2*pi/K) ~=
+# 2.3e7, and 2.3e7 / 1.3e-301 ~= 1.73e308 lies below the largest float64,
+# 1.80e308.  Below the floor q overflows, and the search and the raster
+# would return made-up answers.
+MIN_RADIUS = 1.3e-301
+
 
 def ray_angles(k):
     """The K ray angles 2*pi*j/K of a shape vector, j = 0, ..., K - 1."""
@@ -139,7 +148,8 @@ def shape_radii(radii, k=None):
     """``radii`` as a float64 shape vector, checked.
 
     Raises ``ValueError`` unless the radii are a vector of at least 3
-    values (exactly ``k`` when it is given), all finite and positive.
+    values (exactly ``k`` when it is given), all finite and at least
+    ``MIN_RADIUS``, the floor that keeps every q finite.
     """
     radii = np.asarray(radii, dtype=np.float64)
     if radii.ndim != 1 or radii.size < 3:
@@ -148,10 +158,10 @@ def shape_radii(radii, k=None):
     if k is not None and radii.size != k:
         raise ValueError(f"radii must be a vector of K={k} values")
     # two reductions decide; a NaN makes the minimum NaN
-    if not 0 < radii.min() <= radii.max() < np.inf:
+    if not MIN_RADIUS <= radii.min() <= radii.max() < np.inf:
         if not np.all(np.isfinite(radii)):
             raise ValueError("radii must be finite")
-        raise ValueError("radii must be strictly positive")
+        raise ValueError(f"radii must be positive, at least {MIN_RADIUS}")
     return radii
 
 
@@ -213,11 +223,12 @@ def polar_box(center, dims, reach):
     (cx, cy), (width, height) = center, dims
     if width <= 0 or height <= 0:
         raise ValueError("canvas dims must be positive")
-    x0 = max(int(np.floor(cx - reach)) - 1, 0)
-    x1 = min(int(np.ceil(cx + reach)) + 1, width)
-    y0 = max(int(np.floor(cy - reach)) - 1, 0)
-    y1 = min(int(np.ceil(cy + reach)) + 1, height)
-    # an empty range adds nothing (center far off the canvas)
+    # clipped to the canvas in floating point: a center far off it, even at
+    # 1e300, gives an empty range, not a huge integer one
+    x0, x1 = (int(min(max(v, 0), width))
+              for v in (np.floor(cx - reach) - 1, np.ceil(cx + reach) + 1))
+    y0, y1 = (int(min(max(v, 0), height))
+              for v in (np.floor(cy - reach) - 1, np.ceil(cy + reach) + 1))
     xs = np.arange(x0, x1, dtype=np.float64) + 0.5
     ys = np.arange(y0, y1, dtype=np.float64) + 0.5
     dx = np.ascontiguousarray(np.broadcast_to(xs[None, :] - cx,

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyTruth
 from .geometry import ray_angles
-from .raster import union
+from .raster import as_mask, union
 from .shape_model import DEFAULT_K, sample_shape_vector
 
 DEGREE_BIN_EDGES = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -50,17 +50,14 @@ def pixel_metrics(predicted, truth):
             f"{len(predicted)} predictions for {len(truth)} truths")
     if not truth:
         raise EmptyTruth("no ground-truth masks")
-    # union checks the masks within each list
+    first = as_mask(truth[0])
+    predicted = [as_mask(p, first) for p in predicted]
+    truth = [as_mask(g, first) for g in truth]
     pred_union = union(predicted)
     truth_union = union(truth)
-    if pred_union.shape != truth_union.shape:
-        raise DimensionMismatch(
-            f"mask {pred_union.shape} vs {truth_union.shape}")
     fn_pixels = 0
     truth_pixels = 0
     for p, g in zip(predicted, truth):
-        p = np.asarray(p, dtype=bool)
-        g = np.asarray(g, dtype=bool)
         fn_pixels += int(np.count_nonzero(g & ~p))
         truth_pixels += int(np.count_nonzero(g))
 
@@ -77,10 +74,8 @@ def pixel_metrics(predicted, truth):
 
 def dsc(predicted, truth):
     """Dice similarity coefficient; two empty masks count as a perfect 1."""
-    predicted = np.asarray(predicted, dtype=bool)
-    truth = np.asarray(truth, dtype=bool)
-    if predicted.shape != truth.shape:
-        raise DimensionMismatch(f"{predicted.shape} vs {truth.shape}")
+    truth = as_mask(truth)
+    predicted = as_mask(predicted, truth)
     inter = int(np.count_nonzero(predicted & truth))
     total = int(np.count_nonzero(predicted)) + int(np.count_nonzero(truth))
     if total == 0:
@@ -95,14 +90,11 @@ def overlapping_degree(object_truth, other_truths, centroid, k=DEFAULT_K):
     its pixel lies inside the union of the other objects' truth masks.  The
     result lives in [0, 1): a fully occluded boundary reports (k-1)/k.
     """
-    object_truth = np.asarray(object_truth, dtype=bool)
+    object_truth = as_mask(object_truth)
     radii = sample_shape_vector(object_truth, centroid, k)
     if not other_truths:
         return 0.0
-    others = union(other_truths)
-    if others.shape != object_truth.shape:
-        raise DimensionMismatch(
-            f"mask {others.shape} vs {object_truth.shape}")
+    others = as_mask(union(other_truths), object_truth)
     angles = ray_angles(k)
     x = centroid[0] + radii * np.cos(angles)
     y = centroid[1] + radii * np.sin(angles)

@@ -19,16 +19,25 @@ import os
 import numpy as np
 
 from .errors import DatasetIOError
+from .raster import as_mask
 
 
 def atomic_write(path, data):
-    """Replace ``path`` with ``data`` (bytes, or text encoded as ASCII)."""
+    """Replace ``path`` with ``data`` (bytes, or text encoded as ASCII).
+
+    When the write or the rename fails, the temporary file is removed.
+    """
     if isinstance(data, str):
         data = data.encode("ascii")
     tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.lexists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def write_json(path, doc):
@@ -55,7 +64,7 @@ def finite_number(kind, value):
 
 def write_pgm(path, mask):
     """Write a boolean mask as binary PGM, foreground 255."""
-    mask = np.asarray(mask, dtype=bool)
+    mask = as_mask(mask)
     height, width = mask.shape
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
     atomic_write(path, header + (mask.astype(np.uint8) * 255).tobytes())

@@ -12,6 +12,18 @@ chord at their angle.
 That is the package's one containment rule (see :mod:`multishape.geometry`).
 :func:`rasterize` fills one shape with :func:`multishape.geometry.box_mask`,
 pixel for pixel as a :class:`multishape.geometry.RadialGrid` would.
+
+:func:`as_mask` is the package's one mask door: every mask that enters from
+outside passes it, in :class:`multishape.ClumpScene`,
+:func:`multishape.write_pgm`, :func:`boundary`, :func:`union`,
+:func:`multishape.mask_energy`, :func:`multishape.dsc`,
+:func:`multishape.pixel_metrics`, :func:`multishape.overlapping_degree`,
+:func:`multishape.sample_shape_vector` and
+:class:`multishape.AlignmentSearcher` (and so :func:`multishape.align`).
+A mask that is not 2-D, or not of its partner's shape, raises
+:class:`multishape.DimensionMismatch` naming its shape.  The evolution
+engine keeps its masks flat over the clump's pixels and passes them on as
+(height, width) views.
 """
 
 from __future__ import annotations
@@ -40,6 +52,21 @@ class Alignment:
             raise ValueError(f"rotation must be finite, got {self.theta}")
 
 
+def as_mask(mask, like=None):
+    """``mask`` as a bool (height, width) array, checked.
+
+    Raises :class:`multishape.DimensionMismatch` naming the shape unless the
+    mask is 2-D and, when ``like`` (a mask already checked) is given, of
+    its shape.  A bool array comes back as it is, without a copy.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    if mask.ndim != 2:
+        raise DimensionMismatch(f"mask must be 2-D, got shape {mask.shape}")
+    if like is not None and mask.shape != like.shape:
+        raise DimensionMismatch(f"mask {mask.shape} vs {like.shape}")
+    return mask
+
+
 def rasterize(radii, centroid, alignment, dims):
     """Fill the radial shape at the centroid into a (height, width) mask."""
     radii = shape_radii(radii)
@@ -52,19 +79,16 @@ def union(masks):
     """Pixelwise OR of a non-empty list of same-sized masks."""
     if not len(masks):
         raise EmptyInput("union of an empty mask list")
-    first = np.asarray(masks[0], dtype=bool)
+    first = as_mask(masks[0])
     out = first.copy()
     for m in masks[1:]:
-        m = np.asarray(m, dtype=bool)
-        if m.shape != first.shape:
-            raise DimensionMismatch(f"mask {m.shape} vs {first.shape}")
-        out |= m
+        out |= as_mask(m, first)
     return out
 
 
 def boundary(mask):
     """Foreground pixels with at least one 4-neighbour outside the mask."""
-    mask = np.asarray(mask, dtype=bool)
+    mask = as_mask(mask)
     interior = np.zeros_like(mask)
     interior[1:-1, 1:-1] = (
         mask[1:-1, 1:-1]

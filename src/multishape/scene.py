@@ -8,6 +8,7 @@ import numpy as np
 
 from .errors import CentroidOutsideMask, DimensionMismatch
 from .geometry import on_foreground
+from .raster import as_mask
 
 
 @dataclass
@@ -25,7 +26,7 @@ class ClumpScene:
     scene_id: str = "scene"
 
     def __post_init__(self):
-        self.clump = np.asarray(self.clump, dtype=bool)
+        self.clump = as_mask(self.clump)
         self.centroids = [(float(x), float(y)) for x, y in self.centroids]
         if not self.centroids:
             raise DimensionMismatch("a scene needs at least one centroid")
@@ -39,12 +40,7 @@ class ClumpScene:
                 raise DimensionMismatch(
                     f"{self.scene_id}: {len(self.truth)} truth masks for "
                     f"{len(self.centroids)} centroids")
-            self.truth = [np.asarray(t, dtype=bool) for t in self.truth]
-            for t in self.truth:
-                if t.shape != self.clump.shape:
-                    raise DimensionMismatch(
-                        f"{self.scene_id}: truth mask {t.shape} vs clump "
-                        f"{self.clump.shape}")
+            self.truth = [as_mask(t, self.clump) for t in self.truth]
 
     @property
     def n_objects(self):

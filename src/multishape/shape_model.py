@@ -25,6 +25,7 @@ from .errors import (
 )
 from .geometry import on_foreground, ray_angles
 from .netpbm import finite_number, write_json
+from .raster import as_mask
 
 DEFAULT_K = 360
 DEFAULT_VARIANCE_THRESHOLD = 0.995
@@ -112,7 +113,7 @@ def sample_shape_vector(mask, centroid, k=DEFAULT_K):
     Every returned entry is strictly positive; a ray with no foreground
     sample raises :class:`DegenerateMask`, naming the lowest such ray.
     """
-    mask = np.asarray(mask, dtype=bool)
+    mask = as_mask(mask)
     if k < 3:
         raise ValueError("k must be at least 3")
     cx, cy = float(centroid[0]), float(centroid[1])

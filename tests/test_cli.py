@@ -499,6 +499,33 @@ class TestSegment:
             assert (out / f"{scene_id}_trace.json").exists()
         assert summary["mean_dsc"] >= 0.85
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_unwritable_output_fails_alone(self, tmp_path, capsys, jobs):
+        data = tmp_path / "data"
+        model = tmp_path / "m.json"
+        assert main(["generate", "--out", str(data), "--count", "4",
+                     "--seed", "5"] + SMALL_ARGS) == 0
+        assert main(["train", "--dataset", str(data), "--out", str(model)]
+                    + SMALL_ARGS) == 0
+        # a directory where scene_0001's first mask goes: the rename of its
+        # temporary file fails with an OSError
+        out = tmp_path / "seg"
+        (out / "scene_0001_obj0.pgm").mkdir(parents=True)
+        capsys.readouterr()
+        code = main(["segment", "--model", str(model), "--dataset", str(data),
+                     "--out", str(out), "--jobs", jobs] + SMALL_ARGS)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:io:") and "scene_0001_obj0.pgm" in err
+        summary = json.loads((out / "segment_summary.json").read_text())
+        halts = {s["scene_id"]: s["halted_reason"] for s in summary["scenes"]}
+        assert halts.pop("scene_0001") == "error"
+        assert sorted(halts) == ["scene_0000", "scene_0002", "scene_0003"]
+        assert "error" not in halts.values()
+        for scene_id in halts:
+            assert (out / f"{scene_id}_trace.json").exists()
+        assert list(out.glob("*.tmp*")) == []
+
     def test_writes_nothing_outside_out(self, tmp_path, capsys):
         data = tmp_path / "data"
         model = tmp_path / "m.json"

@@ -91,3 +91,30 @@ def test_no_unused_imports():
         unused += [f"{path.name}: {name}" for name in imported_names(tree)
                    if name not in used]
     assert unused == []
+
+
+def bool_conversions(node, scope):
+    """The innermost enclosing function of every ``np.asarray(...,
+    dtype=bool)`` (or ``np.array``) call below ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, ast.Call)
+                and getattr(child.func, "attr", None) in ("asarray", "array")
+                and any(getattr(value, "id", None) == "bool"
+                        for value in [*child.args[1:2],
+                                      *(kw.value for kw in child.keywords
+                                        if kw.arg == "dtype")])):
+            yield scope
+        inner = child.name if isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        yield from bool_conversions(child, inner)
+
+
+def test_one_mask_door():
+    """A mask is converted to bool in ``raster.as_mask`` alone; every other
+    entry point passes its masks through it."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.stem}.{scope}"
+                  for scope in bool_conversions(tree, "<module>")]
+    assert found == ["raster.as_mask"]

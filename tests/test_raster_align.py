@@ -131,6 +131,11 @@ BAD_RADII = [
     (4.0, "vector"),
     ([4.0, 0.0, 4.0], "positive"),
     ([4.0, -1.0, 4.0], "positive"),
+    # below the floor a term of q overflows
+    ([8.0] * 11 + [1e-320], "at least 1.3e-301"),
+    ([8.0] * 11 + [1e-310], "at least 1.3e-301"),
+    ([8.0] * 11 + [5e-309], "at least 1.3e-301"),
+    ([8.0] * 11 + [2.3e-308], "at least 1.3e-301"),
 ]
 
 # every entry point that takes radii from outside checks them
@@ -217,8 +222,12 @@ class TestBoxRaster:
 
     def test_center_far_off_canvas(self):
         radii = np.full(12, 3.0)
-        mask = ms.rasterize(radii, (-50.0, 90.0), ms.Alignment(), (20, 10))
-        assert mask.shape == (10, 20) and not mask.any()
+        # the box is clipped to the canvas before any integer range is made
+        for centroid in ((-50.0, 90.0), (1e18, 5.0), (1e300, 5.0),
+                         (-1e300, 5.0), (5.0, 1e300), (5.0, -1e300),
+                         (1e300, -1e300)):
+            mask = ms.rasterize(radii, centroid, ms.Alignment(), (20, 10))
+            assert mask.shape == (10, 20) and not mask.any(), centroid
 
     @pytest.mark.parametrize("dims", [(0, 16), (16, 0), (-3, 16)])
     def test_non_positive_canvas_named(self, dims):
@@ -244,6 +253,11 @@ class TestBoxRaster:
             return
         with pytest.raises(ValueError, match=problem):
             call_shape_door(door, radii)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("door", SHAPE_DOORS)
+    def test_radius_floor_runs_clean(self, door):
+        call_shape_door(door, [8.0] * 11 + [ms.geometry.MIN_RADIUS])
 
     @pytest.mark.parametrize("centroid", [(np.nan, 8.0), (8.0, np.inf),
                                           (-np.inf, 8.0)])
@@ -609,6 +623,82 @@ class TestUnion:
         b = rng.random((16, 16)) < 0.3
         u = ms.union([a, b])
         assert not np.any(a & ~u) and not np.any(b & ~u)
+
+
+BAD_MASKS = {
+    "0-D": np.array(True),
+    "1-D": np.ones(16, dtype=bool),
+    "3-D": np.ones((16, 16, 1), dtype=bool),
+    "mismatched": np.ones((15, 16), dtype=bool),
+}
+
+# every entry point that takes a mask from outside, by argument; the doors
+# of one mask alone have no partner for a mismatched shape
+PAIRED_MASK_DOORS = (
+    "ClumpScene-clump", "ClumpScene-truth", "union", "mask_energy-union",
+    "mask_energy-clump", "dsc-predicted", "dsc-truth",
+    "pixel_metrics-predicted", "pixel_metrics-truth",
+    "overlapping_degree-object", "overlapping_degree-others")
+SINGLE_MASK_DOORS = ("write_pgm", "boundary", "sample_shape_vector",
+                     "AlignmentSearcher", "align")
+
+
+def call_mask_door(door, mask, path):
+    """Pass ``mask`` through one entry point, the other masks a 16x16 disk
+    about (8, 8)."""
+    centroid = (8.0, 8.0)
+    good = disk_mask((16, 16), centroid, 6.0)
+    calls = {
+        "ClumpScene-clump": lambda: ms.ClumpScene(mask, [centroid], [good]),
+        "ClumpScene-truth": lambda: ms.ClumpScene(good, [centroid], [mask]),
+        "union": lambda: ms.union([good, mask]),
+        "mask_energy-union": lambda: ms.mask_energy(mask, good),
+        "mask_energy-clump": lambda: ms.mask_energy(good, mask),
+        "dsc-predicted": lambda: ms.dsc(mask, good),
+        "dsc-truth": lambda: ms.dsc(good, mask),
+        "pixel_metrics-predicted":
+            lambda: ms.pixel_metrics([good, mask], [good, good]),
+        "pixel_metrics-truth":
+            lambda: ms.pixel_metrics([good, good], [good, mask]),
+        "overlapping_degree-object":
+            lambda: ms.overlapping_degree(mask, [good], centroid, 12),
+        "overlapping_degree-others":
+            lambda: ms.overlapping_degree(good, [good, mask], centroid, 12),
+        "write_pgm": lambda: ms.write_pgm(path, mask),
+        "boundary": lambda: ms.boundary(mask),
+        "sample_shape_vector":
+            lambda: ms.sample_shape_vector(mask, centroid, 12),
+        "AlignmentSearcher": lambda: ms.AlignmentSearcher(centroid, mask, 12),
+        "align": lambda: ms.align(np.full(12, 3.0), centroid, mask),
+    }
+    return calls[door]()
+
+
+def bad_mask_cases():
+    for door in PAIRED_MASK_DOORS + SINGLE_MASK_DOORS:
+        for kind in BAD_MASKS:
+            if kind != "mismatched" or door in PAIRED_MASK_DOORS:
+                yield pytest.param(door, kind, id=f"{door}-{kind}")
+
+
+class TestMaskDoor:
+    """Every mask passes ``raster.as_mask``: 2-D, and of its partner's
+    shape."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("door, kind", bad_mask_cases())
+    def test_bad_mask_named(self, tmp_path, door, kind):
+        mask = BAD_MASKS[kind]
+        path = tmp_path / "mask.pgm"
+        with pytest.raises(ms.DimensionMismatch,
+                           match=re.escape(str(mask.shape))):
+            call_mask_door(door, mask, path)
+        assert not path.exists()
+
+    def test_bool_mask_not_copied(self):
+        mask = np.zeros((3, 4), dtype=bool)
+        assert ms.raster.as_mask(mask) is mask
+        assert ms.raster.as_mask(mask.astype(np.uint8), mask).dtype == bool
 
 
 class TestAlign:
