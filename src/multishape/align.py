@@ -60,6 +60,7 @@ the clump.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,7 +97,9 @@ class GridSearchConfig:
     def __post_init__(self):
         if not 0 < self.r_min <= self.r_max:
             raise ValueError("need 0 < r_min <= r_max")
-        if not (self.r_step > 0 and self.theta_count >= 1):
+        if not (0 < self.r_step < np.inf
+                and isinstance(self.theta_count, numbers.Integral)
+                and self.theta_count >= 1):
             raise ValueError("r_step and theta_count must be positive")
         # r_values' count is at most MAX_SCALES exactly when this holds
         if not (self.r_max - self.r_min) / self.r_step + 1e-9 < MAX_SCALES:

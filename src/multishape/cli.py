@@ -185,8 +185,6 @@ def _segment_scene(scene_dir, model, evolution_config, out_dir):
 
 def _write_segmentation(scene, model, evolution_config, out_dir):
     masks, state = evolve(scene, model, evolution_config)
-    for i, mask in enumerate(masks):
-        write_pgm(os.path.join(out_dir, f"{scene.scene_id}_obj{i}.pgm"), mask)
     trace_doc = {
         "iterations": [
             {"k": row.iteration, "energy": row.energy, "delta": row.delta,
@@ -200,6 +198,11 @@ def _write_segmentation(scene, model, evolution_config, out_dir):
                trace_doc)
     write_ppm(os.path.join(out_dir, f"{scene.scene_id}_overlay.ppm"),
               _overlay_image(scene, masks))
+    # the masks go last: a scene that fails before all of them are written
+    # has fewer masks than truths (or a directory in a mask's place), so
+    # evaluate refuses it instead of scoring a failed segmentation
+    for i, mask in enumerate(masks):
+        write_pgm(os.path.join(out_dir, f"{scene.scene_id}_obj{i}.pgm"), mask)
     summary = {
         "scene_id": scene.scene_id,
         "final_energy": state.energy,

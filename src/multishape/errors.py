@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule that turns
+numpy's non-finite arithmetic into an error."""
+
+import numpy as np
 
 
 class MultishapeError(Exception):
@@ -55,3 +58,12 @@ class DatasetIOError(MultishapeError):
 
 class ManifestMismatch(DatasetIOError):
     """Scene manifest disagrees with itself or with the files on disk."""
+
+
+def finite_arithmetic(inputs):
+    """Decorator: an overflow or invalid value in numpy's arithmetic inside
+    the function raises ``ValueError`` naming ``inputs``, instead of a
+    warning and a non-finite result."""
+    def refuse(kind, flag):
+        raise ValueError(f"{inputs} give a non-finite result ({kind})")
+    return np.errstate(over="call", invalid="call", call=refuse)

@@ -42,12 +42,13 @@ or below the threshold, ``energy_threshold_fraction`` of the clump area.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .align import AlignmentSearcher, GridSearchConfig
-from .errors import DimensionMismatch, ZeroGradient
+from .errors import DimensionMismatch, ZeroGradient, finite_arithmetic
 from .raster import as_mask, rasterize, union
 from .shape_model import COEFF_SIGMA_BOX, synthesize
 
@@ -73,9 +74,10 @@ class EvolutionConfig:
     grid: GridSearchConfig = field(default_factory=GridSearchConfig)
 
     def __post_init__(self):
-        if not self.energy_threshold_fraction > 0:
+        if not 0 < self.energy_threshold_fraction < np.inf:
             raise ValueError("energy_threshold_fraction must be positive")
-        if not self.max_outer_iterations >= 1:
+        if not (isinstance(self.max_outer_iterations, numbers.Integral)
+                and self.max_outer_iterations >= 1):
             raise ValueError("max_outer_iterations must be positive")
 
 
@@ -131,9 +133,14 @@ class Sr1Hessian:
     def __init__(self, dim):
         self._hess = np.eye(dim)
 
+    @finite_arithmetic("step and gradient change")
     def update(self, step, grad_change):
         step = np.asarray(step, dtype=np.float64)
         grad_change = np.asarray(grad_change, dtype=np.float64)
+        if not step.shape == grad_change.shape == self._hess.shape[:1]:
+            raise DimensionMismatch(
+                f"step {step.shape}, gradient change {grad_change.shape}, "
+                f"Hessian {self._hess.shape}")
         residual = grad_change - self._hess @ step
         denom = float(residual @ step)
         guard = 1e-8 * np.linalg.norm(step) * np.linalg.norm(residual)
@@ -180,6 +187,7 @@ def _boundary_step(g, hess, delta):
     return eigvecs @ (-b / (eigvals + nu))
 
 
+@finite_arithmetic("gradient, Hessian and trust radius")
 def trust_region_step(g, hess, delta):
     """Minimizer of the local quadratic model inside the trust ball.
 
@@ -190,9 +198,11 @@ def trust_region_step(g, hess, delta):
     """
     g = np.asarray(g, dtype=np.float64)
     hess = np.asarray(hess, dtype=np.float64)
-    if delta <= 0:
-        raise ValueError("trust radius must be positive")
+    if g.ndim != 1 or hess.shape != (g.size, g.size):
+        raise DimensionMismatch(f"gradient {g.shape} and Hessian {hess.shape}")
     gnorm = float(np.linalg.norm(g))
+    if not (0 < delta < np.inf and math.isfinite(gnorm)):
+        raise ValueError("gradient and trust radius must be finite, radius > 0")
     if gnorm == 0.0:
         raise ZeroGradient("gradient is zero; stationary point")
 

@@ -93,19 +93,25 @@ pixels, with rho = sqrt(2)/2, A1 and P1 the area and perimeter of the
 shape at scale 1, and theta_plus the sum of its convex vertices' exterior
 angles.  BOUND_MARGIN widens rho.
 
-Every bound above assumes K >= 3 finite radii of at least MIN_RADIUS, the
-floor below which a term A / r of q overflows.  The package's one check of
-that rule is :func:`shape_radii`, made where radii enter from
+Every bound above assumes K >= 3 radii between MIN_RADIUS, the floor
+below which a term A / r of q overflows, and MAX_RADIUS, the ceiling above
+which the search's products of scales and radii overflow.  The package's
+one check of that rule is :func:`shape_radii`, made where radii enter from
 outside (:func:`multishape.rasterize`, :func:`multishape.align`,
-:meth:`multishape.AlignmentSearcher.search`, :meth:`RadialGrid.mask` and
-the training examples of :func:`multishape.importance.dataset_examples`);
-the helpers they call take the checked vector as it is.
+:meth:`multishape.AlignmentSearcher.search`, :meth:`RadialGrid.mask`,
+the training examples of :class:`WeightedExampleSet` and the mean of
+:func:`covariance`); the helpers they call take the checked vector as it
+is.  K has one check too, in :func:`ray_angles`, which every K from
+outside passes (the :class:`RadialGrid` of a search,
+:func:`multishape.sample_shape_vector`,
+:func:`multishape.overlapping_degree` and the generator).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 
 import numpy as np
 
@@ -138,9 +144,22 @@ OFFSET_QUANTUM = 2.0 ** -36
 # would return made-up answers.
 MIN_RADIUS = 1.3e-301
 
+# Largest radius of a shape vector.  The search multiplies radii by its
+# scales and squares the products in its area ceiling (about K/2 times
+# (scale * radius)**2); for K up to 10^4 and scales up to 10^50 that stays
+# below 1e304.  A radius of 1e155 on a clump that fills the canvas used to
+# overflow the ceiling, and one of 1e308 the search's reach.
+MAX_RADIUS = 1e100
+
 
 def ray_angles(k):
-    """The K ray angles 2*pi*j/K of a shape vector, j = 0, ..., K - 1."""
+    """The K ray angles 2*pi*j/K of a shape vector, j = 0, ..., K - 1.
+
+    The package's one check of K: it must be an integer (not a bool) of at
+    least 3, or ``ValueError`` names it.
+    """
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 3:
+        raise ValueError(f"K must be an integer of at least 3, got {k!r}")
     return TWO_PI * np.arange(k) / k
 
 
@@ -148,8 +167,9 @@ def shape_radii(radii, k=None):
     """``radii`` as a float64 shape vector, checked.
 
     Raises ``ValueError`` unless the radii are a vector of at least 3
-    values (exactly ``k`` when it is given), all finite and at least
-    ``MIN_RADIUS``, the floor that keeps every q finite.
+    values (exactly ``k`` when it is given), all finite, at least
+    ``MIN_RADIUS`` and at most ``MAX_RADIUS``, the bounds that keep every
+    q and every product of the search finite.
     """
     radii = np.asarray(radii, dtype=np.float64)
     if radii.ndim != 1 or radii.size < 3:
@@ -158,10 +178,11 @@ def shape_radii(radii, k=None):
     if k is not None and radii.size != k:
         raise ValueError(f"radii must be a vector of K={k} values")
     # two reductions decide; a NaN makes the minimum NaN
-    if not MIN_RADIUS <= radii.min() <= radii.max() < np.inf:
+    if not MIN_RADIUS <= radii.min() <= radii.max() <= MAX_RADIUS:
         if not np.all(np.isfinite(radii)):
             raise ValueError("radii must be finite")
-        raise ValueError(f"radii must be positive, at least {MIN_RADIUS}")
+        raise ValueError(f"radii must be positive, at least {MIN_RADIUS} "
+                         f"and at most {MAX_RADIUS}")
     return radii
 
 
@@ -379,11 +400,10 @@ class RadialGrid:
     """
 
     def __init__(self, center, dims, k, extent):
-        if k < 3:
-            raise ValueError("k must be at least 3")
         self.center = (float(center[0]), float(center[1]))
         self.dims = (int(dims[0]), int(dims[1]))
-        self.k = int(k)
+        # K passes its one check, in ray_angles
+        self.k = ray_angles(k).size
         self._build(reach_distance(float(extent)))
 
     def _build(self, reach):

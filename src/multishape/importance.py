@@ -12,13 +12,13 @@ accepted bump or when the cycle cap is reached, so every run terminates.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyDataset
 from .evolution import EvolutionConfig, evolve, scene_searchers
-from .geometry import shape_radii
 from .shape_model import (
     DEFAULT_VARIANCE_THRESHOLD,
     ShapeExample,
@@ -53,9 +53,10 @@ class LearningConfig:
         default_factory=lambda: EvolutionConfig(max_outer_iterations=50))
 
     def __post_init__(self):
-        if not self.step > 0:
+        if not 0 < self.step < np.inf:
             raise ValueError("weight step must be positive")
-        if not (self.max_tries_per_example >= 1 and self.max_cycles >= 1):
+        if not all(isinstance(cap, numbers.Integral) and cap >= 1
+                   for cap in (self.max_tries_per_example, self.max_cycles)):
             raise ValueError("learning caps must be positive")
         if not 0 < self.variance_threshold <= 1:
             raise ValueError("variance_threshold must be in (0, 1]")
@@ -78,20 +79,14 @@ class WeightUpdate:
 def dataset_examples(dataset, step=None):
     """Flatten pairs into a weighted example set in manifest order.
 
-    Each shape must pass :func:`multishape.geometry.shape_radii`.
+    The set checks each shape (see :class:`multishape.WeightedExampleSet`).
 
     ``step`` is accepted and unused; it goes once the benchmark's callers
     stop passing it (ROADMAP item 2).
     """
-    examples = []
-    for pair in dataset:
-        for i, radii in enumerate(pair.shapes):
-            examples.append(ShapeExample(
-                scene_id=pair.scene.scene_id,
-                object_id=i,
-                radii=shape_radii(radii),
-            ))
-    return WeightedExampleSet(examples=examples)
+    return WeightedExampleSet([ShapeExample(pair.scene.scene_id, i, radii)
+                               for pair in dataset
+                               for i, radii in enumerate(pair.shapes)])
 
 
 def terminated_energy(pair, model, evolution_config):
@@ -121,10 +116,7 @@ def learn(dataset, config=None):
         return 1.0 + config.step * c
 
     def model_for(c):
-        trial_set = WeightedExampleSet(
-            examples=example_set.examples,
-            weights=weights_for(c),
-        )
+        trial_set = WeightedExampleSet(example_set.examples, weights_for(c))
         return build_model(trial_set, config.variance_threshold)
 
     model = model_for(counts)

@@ -41,8 +41,13 @@ def atomic_write(path, data):
 
 
 def write_json(path, doc):
-    """Write ``doc`` as JSON with sorted keys and a one-space indent."""
-    atomic_write(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    """Write ``doc`` as JSON with sorted keys and a one-space indent.
+
+    A NaN or infinity, which no reader of the package accepts, raises
+    ``ValueError`` before the file is touched.
+    """
+    atomic_write(path, json.dumps(doc, sort_keys=True, indent=1,
+                                  allow_nan=False) + "\n")
 
 
 def finite_number(kind, value):

@@ -56,12 +56,13 @@ def as_mask(mask, like=None):
     """``mask`` as a bool (height, width) array, checked.
 
     Raises :class:`multishape.DimensionMismatch` naming the shape unless the
-    mask is 2-D and, when ``like`` (a mask already checked) is given, of
-    its shape.  A bool array comes back as it is, without a copy.
+    mask is 2-D with no zero side and, when ``like`` (a mask already
+    checked) is given, of its shape.  A bool array comes back as it is,
+    without a copy.
     """
     mask = np.asarray(mask, dtype=bool)
-    if mask.ndim != 2:
-        raise DimensionMismatch(f"mask must be 2-D, got shape {mask.shape}")
+    if mask.ndim != 2 or 0 in mask.shape:
+        raise DimensionMismatch(f"mask must be 2-D, not empty: {mask.shape}")
     if like is not None and mask.shape != like.shape:
         raise DimensionMismatch(f"mask {mask.shape} vs {like.shape}")
     return mask

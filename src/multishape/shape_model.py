@@ -22,8 +22,9 @@ from .errors import (
     DimensionMismatch,
     EmptyExampleSet,
     RankDeficient,
+    finite_arithmetic,
 )
-from .geometry import on_foreground, ray_angles
+from .geometry import on_foreground, ray_angles, shape_radii
 from .netpbm import finite_number, write_json
 from .raster import as_mask
 
@@ -53,31 +54,47 @@ class ShapeExample:
 class WeightedExampleSet:
     """Training examples with per-example importance weights.
 
-    Weights are at least 1; importance learning only ever raises them.
+    The package's one check of a training set: every example's radii pass
+    :func:`multishape.geometry.shape_radii` with the first example's K (a
+    bad one raises ``ValueError`` naming its scene and object), and the
+    weights are finite and at least 1; importance learning only ever
+    raises them.  The set keeps its checked (n, K) radii and its weights
+    as read-only copies.
     """
 
     examples: list
     weights: np.ndarray = None
 
     def __post_init__(self):
-        if self.weights is None:
-            self.weights = np.ones(len(self.examples))
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if len(self.weights) != len(self.examples):
-            raise DimensionMismatch(
-                f"{len(self.weights)} weights for {len(self.examples)} examples")
-        if len(self.examples) and np.any(self.weights < 1.0):
-            raise ValueError("weights must be >= 1")
+        n = len(self.examples)
+        weights = np.array(np.ones(n) if self.weights is None
+                           else self.weights, dtype=np.float64)
+        if weights.shape != (n,):
+            raise DimensionMismatch(f"weights {weights.shape} for {n} examples")
+        # a NaN weight fails both comparisons
+        if not np.all((weights >= 1.0) & (weights < np.inf)):
+            raise ValueError("weights must be finite and at least 1")
+        rows = []
+        for ex in self.examples:
+            try:
+                rows.append(shape_radii(
+                    ex.radii, rows[0].size if rows else None))
+            except ValueError as exc:
+                raise ValueError(f"example {ex.scene_id!r} object "
+                                 f"{ex.object_id}: {exc}") from exc
+        self._matrix = np.array(rows, dtype=np.float64)
+        for array in (weights, self._matrix):
+            array.setflags(write=False)
+        self.weights = weights
 
     def __len__(self):
         return len(self.examples)
 
     def matrix(self):
-        """Stack the example radii into an (n, K) array."""
+        """The checked example radii, a read-only (n, K) array."""
         if not self.examples:
             raise EmptyExampleSet("no shape examples")
-        return np.stack([np.asarray(ex.radii, dtype=np.float64)
-                         for ex in self.examples])
+        return self._matrix
 
 
 @dataclass
@@ -114,13 +131,11 @@ def sample_shape_vector(mask, centroid, k=DEFAULT_K):
     sample raises :class:`DegenerateMask`, naming the lowest such ray.
     """
     mask = as_mask(mask)
-    if k < 3:
-        raise ValueError("k must be at least 3")
+    angles = ray_angles(k)
     cx, cy = float(centroid[0]), float(centroid[1])
     if not on_foreground(mask, cx, cy):
         raise CentroidOutsideMask(f"centroid ({cx}, {cy}) is not on foreground")
 
-    angles = ray_angles(k)
     cos, sin = np.cos(angles), np.sin(angles)
     cols = np.flatnonzero(mask.any(axis=0))
     rows = np.flatnonzero(mask.any(axis=1))
@@ -162,12 +177,11 @@ def sample_shape_vector(mask, centroid, k=DEFAULT_K):
     return radii
 
 
+@finite_arithmetic("example radii and weights")
 def weighted_mean(example_set):
     """Importance-weighted mean shape: sum(w_i * s_i) / sum(w_i)."""
     mat = example_set.matrix()
     w = example_set.weights
-    if np.any(w <= 0):
-        raise ValueError("weights must be positive")
     return (w[:, None] * mat).sum(axis=0) / w.sum()
 
 
@@ -178,7 +192,7 @@ def covariance(example_set, mean):
     outer products itself is unweighted.
     """
     mat = example_set.matrix()
-    dev = mat - np.asarray(mean, dtype=np.float64)[None, :]
+    dev = mat - shape_radii(mean, mat.shape[1])[None, :]
     return dev.T @ dev / mat.shape[0]
 
 

@@ -526,6 +526,30 @@ class TestSegment:
             assert (out / f"{scene_id}_trace.json").exists()
         assert list(out.glob("*.tmp*")) == []
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_scene_not_scored(self, tmp_path, capsys, jobs):
+        data = tmp_path / "data"
+        model = tmp_path / "m.json"
+        assert main(["generate", "--out", str(data), "--count", "3",
+                     "--seed", "5"] + SMALL_ARGS) == 0
+        assert main(["train", "--dataset", str(data), "--out", str(model)]
+                    + SMALL_ARGS) == 0
+        # a directory where scene_0001's trace goes fails the scene before
+        # any of its masks is written
+        out = tmp_path / "seg"
+        (out / "scene_0001_trace.json").mkdir(parents=True)
+        assert main(["segment", "--model", str(model), "--dataset", str(data),
+                     "--out", str(out), "--jobs", jobs] + SMALL_ARGS) == 3
+        assert list(out.glob("scene_0001_obj*")) == []
+        assert (out / "scene_0002_obj0.pgm").exists()
+        capsys.readouterr()
+        code = main(["evaluate", "--pred", str(out), "--dataset", str(data),
+                     "--report", str(tmp_path / "r.json")] + SMALL_ARGS)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "scene_0001: 0 predictions for 2 truth masks" in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_writes_nothing_outside_out(self, tmp_path, capsys):
         data = tmp_path / "data"
         model = tmp_path / "m.json"

@@ -118,3 +118,36 @@ def test_one_mask_door():
         found += [f"{path.stem}.{scope}"
                   for scope in bool_conversions(tree, "<module>")]
     assert found == ["raster.as_mask"]
+
+
+def calling_scopes(node, name, scope):
+    """``Class.method`` or ``function`` of every call of ``name`` below
+    ``node``; a ``__post_init__`` counts as its class."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and getattr(child.func, "id",
+                                                   None) == name:
+            yield scope
+        inner = scope
+        if isinstance(child, ast.ClassDef):
+            inner = child.name
+        elif isinstance(child, ast.FunctionDef):
+            inner = (scope if child.name == "__post_init__" else
+                     f"{scope}.{child.name}".lstrip("."))
+        yield from calling_scopes(child, name, inner)
+
+
+def test_one_shape_door():
+    """The callers of ``geometry.shape_radii`` are exactly the doors that
+    the ``geometry`` docstring lists, each named by its last part."""
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        callers.update(calling_scopes(tree, "shape_radii", ""))
+    doc = ast.get_docstring(ast.parse(
+        (PACKAGE / "geometry.py").read_text(encoding="utf-8")))
+    listing = re.search(r"radii enter from\s+outside \((.*?)\);", doc,
+                        re.S).group(1)
+    doors = {target.removeprefix("multishape.")
+             for target in REFERENCE.findall(listing)}
+    assert len(doors) >= 5
+    assert callers == doors

@@ -174,21 +174,21 @@ class TestWeightedMean:
 
 class TestCovariance:
     def test_identical_examples_zero(self):
-        s = example_set([[4, 4], [4, 4], [4, 4]])
+        s = example_set([[4, 4, 4], [4, 4, 4], [4, 4, 4]])
         cov = ms.covariance(s, ms.weighted_mean(s))
         assert np.allclose(cov, 0.0)
 
     def test_hand_computed_uniform(self):
-        s = example_set([[0, 0], [2, 2]])
+        s = example_set([[1, 1, 1], [3, 3, 3]])
         cov = ms.covariance(s, ms.weighted_mean(s))
-        assert np.allclose(cov, [[1, 1], [1, 1]])
+        assert np.allclose(cov, np.ones((3, 3)))
 
     def test_weights_enter_through_mean_only(self):
-        s = example_set([[0, 0], [2, 2]], weights=[3.0, 1.0])
+        s = example_set([[1, 1, 1], [3, 3, 3]], weights=[3.0, 1.0])
         mean = ms.weighted_mean(s)
-        assert np.allclose(mean, [0.5, 0.5])
+        assert np.allclose(mean, [1.5, 1.5, 1.5])
         # scatter around the weighted mean, divided by the example count
-        dev = np.array([[0, 0], [2, 2]]) - mean
+        dev = np.array([[1, 1, 1], [3, 3, 3]]) - mean
         expected = (np.outer(dev[0], dev[0]) + np.outer(dev[1], dev[1])) / 2
         assert np.allclose(ms.covariance(s, mean), expected)
 
@@ -233,7 +233,7 @@ class TestBuildModel:
 
     def test_rank_deficient(self):
         with pytest.raises(ms.RankDeficient):
-            ms.build_model(example_set([[5, 5], [5, 5], [5, 5]]))
+            ms.build_model(example_set([[5, 5, 5], [5, 5, 5], [5, 5, 5]]))
 
     def test_orthonormal_basis(self, small_model):
         gram = small_model.basis.T @ small_model.basis
